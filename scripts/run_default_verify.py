@@ -22,7 +22,7 @@ def main() -> int:
     (out_dir / "verdicts.csv").write_bytes(emit_report(sweep, "csv"))
     (out_dir / "verdicts.txt").write_bytes(emit_report(sweep, "text"))
     (out_dir / "discrepancies.txt").write_text(
-        discrepancy_report(N_RANGE), encoding="utf-8"
+        discrepancy_report(sweep), encoding="utf-8"
     )
     for report in sweep.reports:
         print(f"{report.theorem_id}: {report.summary}")

@@ -10,7 +10,6 @@ from .analysis import (
     TheoremSpec,
     bound_check,
     competitive_ratio,
-    discrepancy_report,
     theorem_spec,
     verify_all,
     verify_theorem,
@@ -43,6 +42,7 @@ from .oracles import (
     mcnaughton,
     zero_release_opt,
 )
+from .reports import discrepancy_report
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
 
 __version__ = "0.1.0"

@@ -6,7 +6,7 @@ both migration policies, computes the zero-release baseline optimum, forms
 the exact ratio, and compares everything to the claimed formulas with
 integer/rational equality -- no floating point anywhere in a verdict.
 
-Known outcomes the discrepancy report documents rather than hides:
+Known outcomes the discrepancy report (reports.py) documents rather than hides:
 
 * T3.1 (S1, m=2): the claimed w_SRPT = n(n+1)/2 disagrees with the literal
   policy semantics for even n >= 4, where simulation gives n^2/2 + 1. The
@@ -23,14 +23,7 @@ from typing import Callable
 
 from .engine import Migration, PolicyConfig, simulate_srpt
 from .model import Instance, Rational, rational_of
-from .oracles import (
-    DEFAULT_CEILING,
-    SearchCeiling,
-    SearchCeilingError,
-    brute_force_opt,
-    mcnaughton,
-    zero_release_opt,
-)
+from .oracles import mcnaughton, zero_release_opt
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
 
 PASS = "PASS"
@@ -234,209 +227,49 @@ def measure(inst: Instance, policy: Migration) -> tuple[int, int, Rational]:
     return schedule.makespan, opt, competitive_ratio(schedule.makespan, opt)
 
 
-def verify_theorem(
-    spec: TheoremSpec,
-    ns,
-    policies: tuple[Migration, ...] = BOTH_POLICIES,
-) -> TheoremReport:
+def _rows(
+    label: str, class_specs, claim: TheoremSpec | None = None
+) -> list[ReportRow]:
+    """Measure each instance under both policies; claimed cells stay empty
+    (verdict N-A) when there is no claim."""
+    rows = []
+    for class_spec in class_specs:
+        n = class_spec.n
+        inst = generate(class_spec)
+        claimed = (
+            ()
+            if claim is None
+            else (claim.claimed_srpt(n), claim.claimed_opt(n), claim.claimed_cr(n))
+        )
+        for policy in BOTH_POLICIES:
+            rows.append(ReportRow(label, n, policy.value, *measure(inst, policy), *claimed))
+    return rows
+
+
+def verify_theorem(spec: TheoremSpec, ns) -> TheoremReport:
     """Sweep one claim over the applicable n values.
 
     Non-applicable n are skipped (T3.1 is stated for even n only). Every
     interpretation variant of the family is measured and labelled, so a
     claim that only holds under one reading names which one passes.
     """
+    ns = [n for n in ns if spec.applicable(n)]
     rows: list[ReportRow] = []
     for interp in spec.interpretations:
-        for n in ns:
-            if not spec.applicable(n):
-                continue
-            inst = generate(spec.class_spec(n, interp))
-            for policy in policies:
-                w_srpt, w_opt, cr = measure(inst, policy)
-                rows.append(
-                    ReportRow(
-                        theorem=spec.row_label(interp),
-                        n=n,
-                        policy=policy.value,
-                        w_srpt_measured=w_srpt,
-                        w_opt_measured=w_opt,
-                        cr_measured=cr,
-                        w_srpt_claimed=spec.claimed_srpt(n),
-                        w_opt_claimed=spec.claimed_opt(n),
-                        cr_claimed=spec.claimed_cr(n),
-                    )
-                )
+        specs = [spec.class_spec(n, interp) for n in ns]
+        rows += _rows(spec.row_label(interp), specs, spec)
     return TheoremReport(theorem_id=spec.theorem_id, rows=tuple(rows))
 
 
-def measured_rows(
-    class_spec_for: Callable[[int], ClassSpec],
-    label: str,
-    ns,
-    policies: tuple[Migration, ...] = BOTH_POLICIES,
-) -> tuple[ReportRow, ...]:
-    """Measurement-only rows (no claim, verdict N-A) for a family sweep."""
-    rows = []
-    for n in ns:
-        inst = generate(class_spec_for(n))
-        for policy in policies:
-            w_srpt, w_opt, cr = measure(inst, policy)
-            rows.append(
-                ReportRow(
-                    theorem=label,
-                    n=n,
-                    policy=policy.value,
-                    w_srpt_measured=w_srpt,
-                    w_opt_measured=w_opt,
-                    cr_measured=cr,
-                )
-            )
-    return tuple(rows)
-
-
-def verify_all(
-    ns,
-    policies: tuple[Migration, ...] = BOTH_POLICIES,
-    include_s5: bool = True,
-) -> SweepReport:
+def verify_all(ns) -> SweepReport:
     """The full default suite: every claim plus the claimless S5 family."""
     ns = list(ns)
-    reports = tuple(verify_theorem(spec, ns, policies) for spec in THEOREMS)
-    extra = (
-        measured_rows(lambda n: ClassSpec(ClassId.S5, n=n), "S5", ns, policies)
-        if include_s5
-        else ()
+    return SweepReport(
+        reports=tuple(verify_theorem(spec, ns) for spec in THEOREMS),
+        extra_rows=tuple(_rows("S5", [ClassSpec(ClassId.S5, n=n) for n in ns])),
     )
-    return SweepReport(reports=reports, extra_rows=extra)
 
 
 def bound_check(report: TheoremReport, bound: Rational) -> tuple[bool, ...]:
     """Exact per-row test of measured CR <= bound."""
     return tuple(row.cr_measured <= bound for row in report.rows)
-
-
-def _format_ratio(r: Rational | None) -> str:
-    if r is None:
-        return "-"
-    return f"{r.numerator}/{r.denominator}"
-
-
-def _text_table(header: list[str], body: list[list[str]], indent: str = "  ") -> list[str]:
-    widths = [len(h) for h in header]
-    for row in body:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = [indent + "  ".join(h.ljust(widths[i]) for i, h in enumerate(header)).rstrip()]
-    for row in body:
-        lines.append(
-            indent + "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)).rstrip()
-        )
-    return lines
-
-
-T31_ALGEBRA_NOTE = (
-    "note: the printed T3.1 ratio simplification (n^2+2)/n^2 does not follow"
-    " from the claimed makespans, whose exact quotient is"
-    " (n(n+1)/2)/(n^2/2) = (n+1)/n; it is recorded here as not reproduced."
-)
-
-
-def discrepancy_report(
-    ns,
-    policies: tuple[Migration, ...] = BOTH_POLICIES,
-    ceiling: SearchCeiling = DEFAULT_CEILING,
-) -> str:
-    """Consolidated text table of every point where measurement disagrees
-    with a claimed formula.
-
-    Contains a row for every applicable T3.1 n (agree or differ) with both
-    policies and, where the instance fits the search ceiling, the exhaustive
-    release-respecting optimum; an interpretation matrix for T3.4; and a
-    field-level listing of every mismatch in the sweep. Empty n range gives
-    an empty report.
-    """
-    ns = sorted(set(ns))
-    if not ns:
-        return ""
-    sweep = verify_all(ns, policies, include_s5=False)
-    lines: list[str] = []
-    span = f"{ns[0]}..{ns[-1]}" if len(ns) > 1 else str(ns[0])
-    title = f"SRPT claim discrepancies (n = {span})"
-    lines.append(title)
-    lines.append("=" * len(title))
-
-    t31 = theorem_spec("T3.1")
-    t31_ns = [n for n in ns if t31.applicable(n)]
-    if t31_ns:
-        lines.append("")
-        lines.append("[T3.1] S1 with m=2: measured vs claimed w_SRPT (even n)")
-        body = []
-        for n in t31_ns:
-            inst = generate(t31.class_spec(n))
-            per_policy = [
-                simulate_srpt(inst, PolicyConfig(migration=p))[0].makespan
-                for p in policies
-            ]
-            try:
-                brute = str(brute_force_opt(inst, True, ceiling).makespan)
-            except SearchCeilingError:
-                brute = "-"
-            claimed = t31.claimed_srpt(n)
-            status = "AGREE" if all(v == claimed for v in per_policy) else "DIFFER"
-            body.append(
-                [str(n)]
-                + [str(v) for v in per_policy]
-                + [brute, str(claimed), status]
-            )
-        header = ["n"] + [p.value for p in policies] + [
-            "brute-force(releases)",
-            "claimed",
-            "status",
-        ]
-        lines.extend(_text_table(header, body))
-        lines.append("")
-        lines.append(T31_ALGEBRA_NOTE)
-
-    t34 = theorem_spec("T3.4")
-    t34_ns = [n for n in ns if t34.applicable(n)]
-    if t34_ns:
-        t34_report = verify_theorem(t34, t34_ns, policies)
-        lines.append("")
-        lines.append(
-            "[T3.4] S3 interpretation check (claimed w_SRPT=2n+1, w_OPT=n+2)"
-        )
-        verdicts: dict[tuple[int, str], set[str]] = {}
-        for row in t34_report.rows:
-            verdicts.setdefault((row.n, row.theorem), set()).add(row.verdict)
-        body = []
-        labels = [t34.row_label(i) for i in t34.interpretations]
-        for n in t34_ns:
-            cells = [str(n)]
-            for label in labels:
-                got = verdicts[(n, label)]
-                cells.append(MISMATCH if MISMATCH in got else PASS)
-            body.append(cells)
-        lines.extend(_text_table(["n"] + labels, body))
-
-    lines.append("")
-    lines.append("Field-level mismatches (all claims, both policies)")
-    field_rows = []
-    for row in sweep.rows:
-        for field_name, verdict, measured, claimed in (
-            ("w_srpt", row.verdict_srpt, str(row.w_srpt_measured), str(row.w_srpt_claimed)),
-            ("w_opt", row.verdict_opt, str(row.w_opt_measured), str(row.w_opt_claimed)),
-            ("cr", row.verdict_cr, _format_ratio(row.cr_measured), _format_ratio(row.cr_claimed)),
-        ):
-            if verdict == MISMATCH:
-                field_rows.append(
-                    [row.theorem, str(row.n), row.policy, field_name, measured, claimed]
-                )
-    if field_rows:
-        lines.extend(
-            _text_table(
-                ["theorem", "n", "policy", "field", "measured", "claimed"], field_rows
-            )
-        )
-    else:
-        lines.append("  none")
-    return "\n".join(lines) + "\n"

@@ -11,12 +11,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import (
-    BOTH_POLICIES,
-    competitive_ratio,
-    discrepancy_report,
-    verify_all,
-)
+from .analysis import BOTH_POLICIES, competitive_ratio, verify_all
 from .engine import Migration, PolicyConfig, simulate_srpt
 from .files import (
     check_constraints,
@@ -33,6 +28,7 @@ from .oracles import (
     mcnaughton,
     zero_release_opt,
 )
+from .reports import discrepancy_report, emit_report, emit_sweep
 from .workloads import ClassId, ClassSpec, generate
 
 
@@ -169,8 +165,6 @@ def _cmd_sweep(args) -> int:
             rows.append(
                 (args.class_id, n, m, policy.value, schedule.makespan, w_opt, cr)
             )
-    from .reports import emit_sweep
-
     _write_or_print(emit_sweep(rows, args.format), args.out)
     return 0
 
@@ -178,12 +172,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise _UsageError("need 1 <= --n-min <= --n-max")
-    ns = range(args.n_min, args.n_max + 1)
-    sweep = verify_all(ns)
-    from .reports import emit_report
-
+    sweep = verify_all(range(args.n_min, args.n_max + 1))
     table = emit_report(sweep, args.format)
-    disc = discrepancy_report(ns).encode("utf-8")
+    disc = discrepancy_report(sweep).encode("utf-8")
     if args.out:
         out = Path(args.out)
         out.write_bytes(table)

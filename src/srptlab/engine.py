@@ -20,7 +20,7 @@ place jobs differently:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 from .model import Instance, Schedule, Segment
@@ -33,12 +33,10 @@ class Migration(str, Enum):
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Scheduler knobs. Only migration is configurable; the tie-break rules
-    (lowest job id, lowest machine index) are pinned."""
+    """Scheduler configuration; migration is its only field. The tie-break
+    rules (lowest job id, lowest machine index) are fixed."""
 
     migration: Migration = Migration.REASSIGN_ALL
-    job_tie_break: str = field(default="lowest-job-id", init=False)
-    machine_order: str = field(default="lowest-machine-index", init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "migration", Migration(self.migration))

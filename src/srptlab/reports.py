@@ -1,11 +1,24 @@
-"""Verdict-table serialization: pinned CSV schema and an aligned text view."""
+"""Every table srpt-lab writes: the verdict table (pinned CSV schema and an
+aligned text view), the measurement-only sweep table, and the discrepancy
+report. All of them go through one text-table and one CSV function."""
 
 from __future__ import annotations
 
 import csv
 import io
 
-from .analysis import ReportRow, SweepReport, TheoremReport
+from .analysis import (
+    BOTH_POLICIES,
+    MISMATCH,
+    PASS,
+    ReportRow,
+    SweepReport,
+    TheoremReport,
+    theorem_spec,
+)
+from .model import Rational
+from .oracles import DEFAULT_CEILING, SearchCeilingError, brute_force_opt
+from .workloads import generate
 
 CSV_COLUMNS = (
     "theorem",
@@ -21,6 +34,45 @@ CSV_COLUMNS = (
     "cr_claimed_den",
     "verdict",
 )
+
+SWEEP_COLUMNS = (
+    "class",
+    "n",
+    "m",
+    "policy",
+    "w_srpt",
+    "w_opt_zero_release",
+    "cr_num",
+    "cr_den",
+)
+
+
+def _text_table(header, body, indent: str = "", align=str.ljust) -> list[str]:
+    """Columns padded to their widest cell and joined by two spaces, one
+    line per row with trailing blanks stripped. The header is left-aligned;
+    body cells are padded with align."""
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+
+    def line(cells, pad) -> str:
+        return indent + "  ".join(pad(c, w) for c, w in zip(cells, widths)).rstrip()
+
+    return [line(header, str.ljust)] + [line(row, align) for row in body]
+
+
+def _csv_table(header, body) -> bytes:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(body)
+    return buf.getvalue().encode("utf-8")
+
+
+def _emit(header, body, fmt: str) -> bytes:
+    if fmt == "csv":
+        return _csv_table(header, body)
+    if fmt == "text":
+        return ("\n".join(_text_table(header, body)) + "\n").encode("utf-8")
+    raise ValueError(f"unknown format {fmt!r}; use 'text' or 'csv'")
 
 
 def _cells(row: ReportRow) -> tuple[str, ...]:
@@ -55,41 +107,12 @@ def emit_report(report, fmt: str = "text") -> bytes:
     Output is byte-deterministic: fixed column order, "\\n" line endings,
     empty cells for missing claimed values.
     """
-    rows = _rows_of(report)
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow(_cells(row))
-        return buf.getvalue().encode("utf-8")
-    if fmt == "text":
-        table = [list(CSV_COLUMNS)] + [list(_cells(r)) for r in rows]
-        widths = [max(len(line[i]) for line in table) for i in range(len(CSV_COLUMNS))]
-        lines = []
-        for line in table:
-            lines.append(
-                "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-            )
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown report format {fmt!r}; use 'text' or 'csv'")
-
-
-SWEEP_COLUMNS = (
-    "class",
-    "n",
-    "m",
-    "policy",
-    "w_srpt",
-    "w_opt_zero_release",
-    "cr_num",
-    "cr_den",
-)
+    return _emit(CSV_COLUMNS, [_cells(r) for r in _rows_of(report)], fmt)
 
 
 def emit_sweep(rows, fmt: str = "text") -> bytes:
     """Render measurement-only sweep rows (class, n, m, policy, makespans, CR)."""
-    table_rows = [
+    body = [
         (
             label,
             str(n),
@@ -102,18 +125,115 @@ def emit_sweep(rows, fmt: str = "text") -> bytes:
         )
         for (label, n, m, policy, w_srpt, w_opt, cr) in rows
     ]
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(SWEEP_COLUMNS)
-        writer.writerows(table_rows)
-        return buf.getvalue().encode("utf-8")
-    if fmt == "text":
-        table = [list(SWEEP_COLUMNS)] + [list(r) for r in table_rows]
-        widths = [max(len(line[i]) for line in table) for i in range(len(SWEEP_COLUMNS))]
-        lines = [
-            "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(line)).rstrip()
-            for line in table
+    return _emit(SWEEP_COLUMNS, body, fmt)
+
+
+def _format_ratio(r: Rational | None) -> str:
+    if r is None:
+        return "-"
+    return f"{r.numerator}/{r.denominator}"
+
+
+T31_ALGEBRA_NOTE = (
+    "note: the printed T3.1 ratio simplification (n^2+2)/n^2 does not follow"
+    " from the claimed makespans, whose exact quotient is"
+    " (n(n+1)/2)/(n^2/2) = (n+1)/n; it is recorded here as not reproduced."
+)
+
+
+def discrepancy_report(sweep: SweepReport) -> str:
+    """Consolidated text table of every point where the sweep's measurements
+    disagree with a claimed formula.
+
+    Contains a row for every T3.1 n in the sweep (agree or differ) with both
+    policies and, where the instance fits the default search ceiling, the
+    exhaustive release-respecting optimum; an interpretation matrix for
+    T3.4; and a field-level listing of every mismatch in the sweep, in the
+    sweep's row order. Nothing is simulated again. A sweep without rows
+    gives an empty report.
+    """
+    rows = sweep.rows
+    ns = sorted({r.n for r in rows})
+    if not ns:
+        return ""
+    span = f"{ns[0]}..{ns[-1]}" if len(ns) > 1 else str(ns[0])
+    title = f"SRPT claim discrepancies (n = {span})"
+    lines = [title, "=" * len(title)]
+
+    t31 = theorem_spec("T3.1")
+    t31_srpt: dict[int, dict[str, int]] = {}
+    for row in rows:
+        if row.theorem == t31.row_label():
+            t31_srpt.setdefault(row.n, {})[row.policy] = row.w_srpt_measured
+    if t31_srpt:
+        lines.append("")
+        lines.append("[T3.1] S1 with m=2: measured vs claimed w_SRPT (even n)")
+        body = []
+        for n in sorted(t31_srpt):
+            per_policy = [t31_srpt[n][p.value] for p in BOTH_POLICIES]
+            inst = generate(t31.class_spec(n))
+            try:
+                brute = str(brute_force_opt(inst, True, DEFAULT_CEILING).makespan)
+            except SearchCeilingError:
+                brute = "-"
+            claimed = t31.claimed_srpt(n)
+            status = "AGREE" if all(v == claimed for v in per_policy) else "DIFFER"
+            body.append(
+                [str(n)]
+                + [str(v) for v in per_policy]
+                + [brute, str(claimed), status]
+            )
+        header = ["n"] + [p.value for p in BOTH_POLICIES] + [
+            "brute-force(releases)",
+            "claimed",
+            "status",
         ]
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    raise ValueError(f"unknown sweep format {fmt!r}; use 'text' or 'csv'")
+        lines.extend(_text_table(header, body, "  ", str.rjust))
+        lines.append("")
+        lines.append(T31_ALGEBRA_NOTE)
+
+    t34 = theorem_spec("T3.4")
+    labels = [t34.row_label(i) for i in t34.interpretations]
+    verdicts: dict[tuple[int, str], set[str]] = {}
+    for row in rows:
+        if row.theorem in labels:
+            verdicts.setdefault((row.n, row.theorem), set()).add(row.verdict)
+    if verdicts:
+        lines.append("")
+        lines.append(
+            "[T3.4] S3 interpretation check (claimed w_SRPT=2n+1, w_OPT=n+2)"
+        )
+        body = []
+        for n in sorted({n for n, _ in verdicts}):
+            cells = [str(n)]
+            for label in labels:
+                got = verdicts[(n, label)]
+                cells.append(MISMATCH if MISMATCH in got else PASS)
+            body.append(cells)
+        lines.extend(_text_table(["n"] + labels, body, "  ", str.rjust))
+
+    lines.append("")
+    lines.append("Field-level mismatches (all claims, both policies)")
+    field_rows = []
+    for row in rows:
+        for field_name, verdict, measured, claimed in (
+            ("w_srpt", row.verdict_srpt, str(row.w_srpt_measured), str(row.w_srpt_claimed)),
+            ("w_opt", row.verdict_opt, str(row.w_opt_measured), str(row.w_opt_claimed)),
+            ("cr", row.verdict_cr, _format_ratio(row.cr_measured), _format_ratio(row.cr_claimed)),
+        ):
+            if verdict == MISMATCH:
+                field_rows.append(
+                    [row.theorem, str(row.n), row.policy, field_name, measured, claimed]
+                )
+    if field_rows:
+        lines.extend(
+            _text_table(
+                ["theorem", "n", "policy", "field", "measured", "claimed"],
+                field_rows,
+                "  ",
+                str.rjust,
+            )
+        )
+    else:
+        lines.append("  none")
+    return "\n".join(lines) + "\n"

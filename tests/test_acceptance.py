@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from srptlab import (
     ClassId,
     ClassSpec,
@@ -31,14 +33,25 @@ from srptlab import (
     theorem_spec,
     validate_schedule,
     verify_all,
-    verify_theorem,
     zero_release_opt,
 )
 from srptlab.analysis import MISMATCH, PASS
 from srptlab.cli import main
+from srptlab.reports import emit_report
 
 FULL_RANGE = range(2, 65)
 POLICIES = (Migration.REASSIGN_ALL, Migration.STICKY)
+OUT = Path(__file__).parent.parent / "out"
+
+
+@pytest.fixture(scope="module")
+def sweep():
+    """The default sweep, computed once for every criterion that reads it."""
+    return verify_all(FULL_RANGE)
+
+
+def _report(sweep, theorem_id):
+    return next(r for r in sweep.reports if r.theorem_id == theorem_id)
 
 
 def criterion(label):
@@ -62,8 +75,8 @@ def _assert_valid(schedule):
 
 
 @criterion("C1 T3.2 sweep n=2..64: w_SRPT=2n-1, w_OPT=n, CR=(2n-1)/n exactly")
-def test_c1_claim_t32_sweep():
-    report = verify_theorem(theorem_spec("T3.2"), FULL_RANGE)
+def test_c1_claim_t32_sweep(sweep):
+    report = _report(sweep, "T3.2")
     seen_ns = set()
     for row in report.rows:
         n = row.n
@@ -76,8 +89,8 @@ def test_c1_claim_t32_sweep():
 
 
 @criterion("C2 T3.3 sweep n=2..64: w_SRPT=2n, w_OPT=n+1, CR=2n/(n+1) exactly")
-def test_c2_claim_t33_sweep():
-    report = verify_theorem(theorem_spec("T3.3"), FULL_RANGE)
+def test_c2_claim_t33_sweep(sweep):
+    report = _report(sweep, "T3.3")
     seen_ns = set()
     for row in report.rows:
         n = row.n
@@ -90,8 +103,8 @@ def test_c2_claim_t33_sweep():
 
 
 @criterion("C3 T3.5 sweep n=2..64: w_SRPT=3n-1, w_OPT=2n, CR=(3n-1)/(2n) exactly")
-def test_c3_claim_t35_sweep():
-    report = verify_theorem(theorem_spec("T3.5"), FULL_RANGE)
+def test_c3_claim_t35_sweep(sweep):
+    report = _report(sweep, "T3.5")
     seen_ns = set()
     for row in report.rows:
         n = row.n
@@ -107,8 +120,8 @@ def test_c3_claim_t35_sweep():
     "C4 T3.4 dual check: p=n+2 reproduces 2n+1/(n+2); literal p=2n flags OPT"
     " MISMATCH; default verify exits 2 with exactly the documented mismatches"
 )
-def test_c4_claim_t34_dual_check(tmp_path, capsys):
-    report = verify_theorem(theorem_spec("T3.4"), FULL_RANGE)
+def test_c4_claim_t34_dual_check(sweep, tmp_path, capsys):
+    report = _report(sweep, "T3.4")
     alt = [r for r in report.rows if r.theorem == "T3.4/n+2"]
     literal = [r for r in report.rows if r.theorem == "T3.4/2n"]
 
@@ -133,7 +146,6 @@ def test_c4_claim_t34_dual_check(tmp_path, capsys):
     capsys.readouterr()
     assert code == 2
 
-    sweep = verify_all(FULL_RANGE)
     expected = {("T3.1", n) for n in FULL_RANGE if n % 2 == 0 and n >= 4}
     expected |= {("T3.4/2n", n) for n in FULL_RANGE if n >= 3}
     actual = {(r.theorem, r.n) for r in sweep.mismatch_rows}
@@ -144,9 +156,9 @@ def test_c4_claim_t34_dual_check(tmp_path, capsys):
     "C5 T3.1: exact 3/2 at n=2; CR<=3/2 for even n<=64; a discrepancy row"
     " for every even n where measured w_SRPT differs from n(n+1)/2"
 )
-def test_c5_claim_t31():
+def test_c5_claim_t31(sweep):
     spec = theorem_spec("T3.1")
-    report = verify_theorem(spec, FULL_RANGE)
+    report = _report(sweep, "T3.1")
 
     n2 = [r for r in report.rows if r.n == 2]
     assert len(n2) == len(POLICIES)
@@ -158,7 +170,7 @@ def test_c5_claim_t31():
 
     assert all(bound_check(report, Fraction(3, 2)))
 
-    text = discrepancy_report(FULL_RANGE)
+    text = discrepancy_report(sweep)
     differing = set()
     for row in report.rows:
         if row.w_srpt_measured != row.w_srpt_claimed:
@@ -239,9 +251,9 @@ def test_c7_schedule_validity_everywhere():
 
 @criterion(
     "C8 determinism: S1 n=2 m=2 ASCII Gantt and the default verify CSV are"
-    " byte-identical across two consecutive runs"
+    " byte-identical across two consecutive runs and to the goldens in out/"
 )
-def test_c8_determinism_and_golden_files(tmp_path, capsys):
+def test_c8_determinism_and_golden_files(sweep, tmp_path, capsys):
     gantt_paths = []
     for i in range(2):
         path = tmp_path / f"gantt_{i}.txt"
@@ -271,3 +283,6 @@ def test_c8_determinism_and_golden_files(tmp_path, capsys):
     disc_a = (tmp_path / "verify_0-discrepancies.txt").read_bytes()
     disc_b = (tmp_path / "verify_1-discrepancies.txt").read_bytes()
     assert disc_a == disc_b
+    assert a == (OUT / "verdicts.csv").read_bytes()
+    assert disc_a == (OUT / "discrepancies.txt").read_bytes()
+    assert emit_report(sweep, "text") == (OUT / "verdicts.txt").read_bytes()

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from srptlab import (
     discrepancy_report,
     generate,
     mcnaughton,
+    simulate_srpt,
     theorem_spec,
     verify_all,
     verify_theorem,
@@ -144,34 +146,59 @@ class TestBoundCheck:
 
 class TestDiscrepancyReport:
     def test_agreement_at_n2(self):
-        text = discrepancy_report([2])
+        text = discrepancy_report(verify_all([2]))
         assert "AGREE" in text
         assert "DIFFER" not in text
 
     def test_n4_row_records_all_three_measurements(self):
-        text = discrepancy_report([2, 3, 4])
+        text = discrepancy_report(verify_all([2, 3, 4]))
         t31_n4 = next(ln for ln in text.splitlines() if ln.strip().startswith("4 "))
         # measured under both policies, the exhaustive optimum, and the claim
         assert t31_n4.split() == ["4", "9", "9", "9", "10", "DIFFER"]
 
     def test_t34_matrix(self):
-        text = discrepancy_report([2, 3])
+        text = discrepancy_report(verify_all([2, 3]))
         assert "[T3.4]" in text
         rows = [ln.split() for ln in text.splitlines() if ln.strip().startswith(("2 ", "3 "))]
         assert ["3", "PASS", "MISMATCH"] in rows
 
     def test_algebra_note_present(self):
-        text = discrepancy_report([2])
+        text = discrepancy_report(verify_all([2]))
         assert "(n^2+2)/n^2" in text
         assert "not reproduced" in text
 
     def test_empty_range_gives_empty_report(self):
-        assert discrepancy_report([]) == ""
+        assert discrepancy_report(verify_all([])) == ""
 
     def test_beyond_ceiling_cells_are_dashed(self):
-        text = discrepancy_report([6])
+        text = discrepancy_report(verify_all([6]))
         t31_n6 = next(ln for ln in text.splitlines() if ln.strip().startswith("6 "))
         assert t31_n6.split() == ["6", "19", "19", "-", "21", "DIFFER"]
 
     def test_deterministic_bytes(self):
-        assert discrepancy_report(range(2, 9)) == discrepancy_report(range(2, 9))
+        assert discrepancy_report(verify_all(range(2, 9))) == discrepancy_report(
+            verify_all(range(2, 9))
+        )
+
+    def test_reads_the_sweep_without_simulating(self, monkeypatch):
+        sweep = verify_all(range(2, 9))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("discrepancy_report simulated again")
+
+        holders = [
+            module
+            for name, module in list(sys.modules.items())
+            if name.split(".")[0] == "srptlab"
+            and getattr(module, "simulate_srpt", None) is simulate_srpt
+        ]
+        assert len(holders) >= 3  # engine, analysis and the package root
+        for module in holders:
+            monkeypatch.setattr(module, "simulate_srpt", refuse)
+        text = discrepancy_report(sweep)
+        assert "[T3.1]" in text
+        assert "[T3.4]" in text
+        fields = text.split("Field-level mismatches")[1].splitlines()
+        assert ["T3.1", "4", "reassign-all", "w_srpt", "9", "10"] in [
+            ln.split() for ln in fields
+        ]

@@ -33,7 +33,7 @@ def test_t33_n3_values():
 
 
 def test_s5_rows_have_empty_claimed_cells():
-    sweep = verify_all([2], include_s5=True)
+    sweep = verify_all([2])
     csv_lines = emit_report(sweep, "csv").decode().splitlines()
     s5 = [ln for ln in csv_lines if ln.startswith("S5,")]
     assert s5 == [
