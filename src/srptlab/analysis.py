@@ -1,10 +1,11 @@
 """Competitive-ratio measurement and claim verification.
 
 The claim table pairs each workload family with the closed-form makespans
-stated for it (ids T3.1..T3.5). A verification sweep simulates SRPT under
-both migration policies, computes the zero-release baseline optimum, forms
-the exact ratio, and compares everything to the claimed formulas with
-integer/rational equality -- no floating point anywhere in a verdict.
+stated for it (ids T3.1..T3.5). A verification sweep runs SRPT's selection
+once per instance, places it under both migration policies, computes the
+zero-release baseline optimum, forms the exact ratio, and compares
+everything to the claimed formulas with integer/rational equality -- no
+floating point anywhere in a verdict.
 
 Known outcomes the discrepancy report (reports.py) documents rather than hides:
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .engine import Migration, PolicyConfig, simulate_srpt
+from .engine import Migration, place, select_srpt
 from .model import Instance, Rational, rational_of
 from .oracles import mcnaughton, zero_release_opt
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
@@ -207,15 +208,14 @@ class SweepReport:
         return tuple(r for r in self.rows if r.verdict == MISMATCH)
 
 
-def measure(inst: Instance, policy: Migration) -> tuple[int, int, Rational]:
-    """Simulate one instance and pair it with the zero-release baseline.
-
-    Returns (w_srpt, w_opt, ratio). The baseline is the indexed-round
-    optimum, cross-checked against the McNaughton bound; the two agree on
-    every family a claim sweeps, so a disagreement is surfaced instead of
-    silently picking a denominator.
+def measure(inst: Instance) -> dict[Migration, tuple[int, int, Rational]]:
+    """Select once, place under both policies, divide by the zero-release
+    baseline. Returns {policy: (w_srpt, w_opt, ratio)}. The baseline is the
+    indexed-round optimum, cross-checked against the McNaughton bound; the
+    two agree on every family a claim sweeps, so a disagreement is surfaced
+    instead of silently picking a denominator.
     """
-    schedule, _ = simulate_srpt(inst, PolicyConfig(migration=policy))
+    log = list(select_srpt(inst))
     opt = zero_release_opt(inst).makespan
     preemptive = mcnaughton(inst).makespan
     if opt != preemptive:
@@ -224,7 +224,8 @@ def measure(inst: Instance, policy: Migration) -> tuple[int, int, Rational]:
             f" optimum ({preemptive}); this instance is outside the claim"
             " families -- compare against mcnaughton() directly"
         )
-    return schedule.makespan, opt, competitive_ratio(schedule.makespan, opt)
+    makespans = {p: place(inst, log, p)[0].makespan for p in BOTH_POLICIES}
+    return {p: (w, opt, competitive_ratio(w, opt)) for p, w in makespans.items()}
 
 
 def _rows(
@@ -235,14 +236,13 @@ def _rows(
     rows = []
     for class_spec in class_specs:
         n = class_spec.n
-        inst = generate(class_spec)
         claimed = (
             ()
             if claim is None
             else (claim.claimed_srpt(n), claim.claimed_opt(n), claim.claimed_cr(n))
         )
-        for policy in BOTH_POLICIES:
-            rows.append(ReportRow(label, n, policy.value, *measure(inst, policy), *claimed))
+        for policy, measured in measure(generate(class_spec)).items():
+            rows.append(ReportRow(label, n, policy.value, *measured, *claimed))
     return rows
 
 

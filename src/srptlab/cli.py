@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .analysis import BOTH_POLICIES, competitive_ratio, verify_all
-from .engine import Migration, PolicyConfig, simulate_srpt
+from .engine import Migration, PolicyConfig, place, select_srpt, simulate_srpt
 from .files import (
     check_constraints,
     parse_instance,
@@ -159,8 +159,9 @@ def _cmd_sweep(args) -> int:
         # McNaughton is the zero-release optimum for any shape, including
         # parametric instances where the indexed-round layout is not tight.
         w_opt = mcnaughton(inst).makespan
+        log = list(select_srpt(inst))
         for policy in BOTH_POLICIES:
-            schedule, _ = simulate_srpt(inst, PolicyConfig(migration=policy))
+            schedule, _ = place(inst, log, policy)
             cr = competitive_ratio(schedule.makespan, w_opt)
             rows.append(
                 (args.class_id, n, m, policy.value, schedule.makespan, w_opt, cr)

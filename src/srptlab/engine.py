@@ -1,29 +1,39 @@
 """Event-driven simulator for the preemptive SRPT policy on identical machines.
 
-Decision epochs are exactly the distinct arrival instants and job-completion
-instants. At each epoch the scheduler rescans all released, unfinished jobs
-and runs the k = min(m, available) jobs with the least remaining work, ties
-broken towards the lowest job id. Between consecutive epochs the assignment
-is frozen and every running job's remaining time drops by the gap length.
+Simulation is two passes over one decision log.
 
-Two machine-placement policies are supported; they select the same job set
-at every epoch and therefore produce the same completion times, but they
-place jobs differently:
+* ``select_srpt`` is the SRPT rule and the only code that decides which jobs
+  run. Decision epochs are exactly the distinct arrival and completion
+  instants. At each epoch it runs the k = min(m, available) released jobs
+  with the least remaining work, ties broken towards the lowest job id, and
+  yields the epoch's time, remaining-work snapshot and selected jobs.
+  Between consecutive epochs every selected job's remaining time drops by
+  the gap length.
+* ``place`` is the only code that assigns machines. It reads the log pairwise
+  and never changes which jobs run, so both policies below select the same
+  jobs and produce the same completion times by construction:
 
-* ``reassign-all``: the selected jobs are laid out on machines 1..k in
-  (remaining, id) order at every epoch, so a job may migrate even while it
-  keeps running.
-* ``sticky``: a selected job that was already running keeps its machine;
-  only newly selected jobs move onto freed or idle machines, lowest machine
-  index first.
+  * ``reassign-all``: the selected jobs are laid out on machines 1..k in
+    (remaining, id) order at every epoch, so a job may migrate even while it
+    keeps running.
+  * ``sticky``: a selected job that was already running keeps its machine;
+    only newly selected jobs move onto freed or idle machines, lowest machine
+    index first.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import pairwise
+from operator import itemgetter
 
 from .model import Instance, Schedule, Segment
+
+Snapshot = tuple[tuple[int, int], ...]
+LogEntry = tuple[int, Snapshot, tuple[int, ...]]
 
 
 class Migration(str, Enum):
@@ -52,7 +62,7 @@ class Epoch:
     """
 
     time: int
-    remaining: tuple[tuple[int, int], ...]
+    remaining: Snapshot
     assignment: tuple[tuple[int, int], ...]
 
 
@@ -64,19 +74,72 @@ class EngineTrace:
         return tuple(e.time for e in self.epochs)
 
 
-def _place(
-    chosen: list[int], prev: dict[int, int], machines: int, cfg: PolicyConfig
-) -> dict[int, int]:
-    """Map the selected jobs (already in (remaining, id) order) to machines."""
-    if cfg.migration is Migration.REASSIGN_ALL or not prev:
-        return {job: slot + 1 for slot, job in enumerate(chosen)}
-    placement = {job: prev[job] for job in chosen if job in prev}
-    taken = set(placement.values())
-    free = (mach for mach in range(1, machines + 1) if mach not in taken)
-    for job in chosen:
-        if job not in placement:
-            placement[job] = next(free)
-    return placement
+def select_srpt(inst: Instance) -> Iterator[LogEntry]:
+    """The SRPT decision loop: yield (time, remaining, running) per epoch.
+
+    remaining is the (job_id, remaining_units) snapshot of every released
+    unfinished job, in id order; running holds the selected ids in
+    (remaining, id) order. The last entry sits at the makespan and is empty.
+    """
+    pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
+    remaining: dict[int, int] = {}  # released, unfinished jobs only
+    t = pending[-1].arrival
+    while True:
+        while pending and pending[-1].arrival <= t:
+            job = pending.pop()
+            remaining[job.id] = job.processing
+        snapshot = tuple(sorted(remaining.items()))
+        # A stable sort by remaining work keeps ties in id order.
+        ranked = sorted(snapshot, key=itemgetter(1))[: inst.machines]
+        running = tuple(job_id for job_id, _ in ranked)
+        yield t, snapshot, running
+        if not (running or pending):
+            return
+        # With nothing running the machines idle until the next arrival.
+        first_done = t + remaining[running[0]] if running else math.inf
+        step_end = min(first_done, pending[-1].arrival if pending else math.inf)
+        for job_id in running:
+            remaining[job_id] -= step_end - t
+            if not remaining[job_id]:
+                del remaining[job_id]
+        t = step_end
+
+
+def place(
+    inst: Instance, log: Iterable[LogEntry], migration: Migration
+) -> tuple[Schedule, EngineTrace]:
+    """Put each epoch's running jobs on machines and merge the segments.
+
+    log is select_srpt's output; consecutive entries bound the interval over
+    which one assignment holds.
+    """
+    sticky = Migration(migration) is Migration.STICKY
+    machine_of: dict[int, int] = {}
+    open_seg: dict[int, list[int]] = {}  # job -> [machine, start, end]
+    closed: list[Segment] = []
+    epochs: list[Epoch] = []
+    for (t, remaining, running), (step_end, _, _) in pairwise(log):
+        if sticky:
+            kept = {job: machine_of[job] for job in running if job in machine_of}
+            taken = set(kept.values())
+            free = (mach for mach in range(1, inst.machines + 1) if mach not in taken)
+            machine_of = {job: kept.get(job) or next(free) for job in running}
+        else:
+            machine_of = dict(zip(running, range(1, inst.machines + 1)))
+        assignment = tuple(sorted((m, j) for j, m in machine_of.items()))
+        epochs.append(Epoch(t, remaining, assignment))
+        for job_id, machine in machine_of.items():
+            seg = open_seg.get(job_id)
+            if seg is not None and seg[0] == machine and seg[2] == t:
+                seg[2] = step_end
+            else:
+                if seg is not None:
+                    closed.append(Segment(job_id, *seg))
+                open_seg[job_id] = [machine, t, step_end]
+
+    closed += (Segment(job_id, *seg) for job_id, seg in open_seg.items())
+    epochs.append(Epoch(time=step_end, remaining=(), assignment=()))
+    return Schedule.from_segments(inst, closed), EngineTrace(epochs=tuple(epochs))
 
 
 def simulate_srpt(
@@ -84,71 +147,10 @@ def simulate_srpt(
 ) -> tuple[Schedule, EngineTrace]:
     """Run SRPT on the instance; return the schedule and the decision trace.
 
-    The returned schedule always passes validate_schedule. The trace ends
-    with a final epoch at the makespan holding an empty snapshot.
+    The schedule passes validate_schedule (tested under hypothesis). The
+    trace ends with a final epoch at the makespan holding an empty snapshot.
     """
-    cfg = cfg or PolicyConfig()
-    pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id))
-    next_release = 0  # index into pending
-    remaining: dict[int, int] = {}  # released, unfinished jobs only
-    prev_assign: dict[int, int] = {}
-    open_seg: dict[int, list[int]] = {}  # job -> [machine, start, end]
-    closed: list[Segment] = []
-    epochs: list[Epoch] = []
-    unfinished = inst.job_count
-    t = pending[0].arrival
-
-    while unfinished:
-        while next_release < len(pending) and pending[next_release].arrival <= t:
-            job = pending[next_release]
-            remaining[job.id] = job.processing
-            next_release += 1
-
-        ranked = sorted(remaining.items(), key=lambda kv: (kv[1], kv[0]))
-        chosen = [job_id for job_id, _ in ranked[: min(inst.machines, len(ranked))]]
-        assign = _place(chosen, prev_assign, inst.machines, cfg)
-        epochs.append(
-            Epoch(
-                time=t,
-                remaining=tuple(sorted(remaining.items())),
-                assignment=tuple(sorted((m, j) for j, m in assign.items())),
-            )
-        )
-
-        next_arrival = (
-            pending[next_release].arrival if next_release < len(pending) else None
-        )
-        if not chosen:
-            # All released work is done; the machines idle until the next
-            # arrival (one must exist while unfinished jobs remain).
-            t = next_arrival
-            prev_assign = {}
-            continue
-
-        step_end = t + min(remaining[j] for j in chosen)
-        if next_arrival is not None and next_arrival < step_end:
-            step_end = next_arrival
-        for job_id in chosen:
-            machine = assign[job_id]
-            seg = open_seg.get(job_id)
-            if seg is not None and seg[0] == machine and seg[2] == t:
-                seg[2] = step_end
-            else:
-                if seg is not None:
-                    closed.append(Segment(job_id, seg[0], seg[1], seg[2]))
-                open_seg[job_id] = [machine, t, step_end]
-            remaining[job_id] -= step_end - t
-            if remaining[job_id] == 0:
-                del remaining[job_id]
-                unfinished -= 1
-        prev_assign = assign
-        t = step_end
-
-    for job_id in sorted(open_seg):
-        machine, start, end = open_seg[job_id]
-        closed.append(Segment(job_id, machine, start, end))
-    epochs.append(Epoch(time=t, remaining=(), assignment=()))
-    return Schedule.from_segments(inst, closed), EngineTrace(epochs=tuple(epochs))
+    return place(inst, select_srpt(inst), (cfg or PolicyConfig()).migration)
 
 
 def remaining_profile(trace: EngineTrace, t: int) -> dict[int, int]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 # Competitive ratios are exact ratios of integers; Fraction already stores
 # lowest terms with a positive denominator, which is the whole contract.
@@ -155,10 +156,15 @@ class Schedule:
         return dict(sorted(done.items()))
 
 
-def _overlap(a: Segment, b: Segment) -> tuple[int, int] | None:
-    lo = max(a.start, b.start)
-    hi = min(a.end, b.end)
-    return (lo, hi) if lo < hi else None
+def _overlaps(segs: list[Segment]):
+    """Yield (a, b, (lo, hi)) for every overlapping pair of segs, which must
+    be sorted by start. The scan from a stops at the first b starting at or
+    after a's end: every later segment starts later still."""
+    for i, a in enumerate(segs):
+        for b in islice(segs, i + 1, None):
+            if b.start >= a.end:
+                break
+            yield a, b, (b.start, min(a.end, b.end))
 
 
 def validate_schedule(s: Schedule) -> list[str]:
@@ -170,10 +176,15 @@ def validate_schedule(s: Schedule) -> list[str]:
     at once, and release respect.
     """
     violations: list[str] = []
-    known = {job.id for job in s.instance.jobs}
+    arrival = {job.id: job.arrival for job in s.instance.jobs}
+    by_machine: dict[int, list[Segment]] = {}
+    by_job: dict[int, list[Segment]] = {}
+    for seg in s.segments:
+        by_machine.setdefault(seg.machine, []).append(seg)
+        by_job.setdefault(seg.job_id, []).append(seg)
 
     for seg in s.segments:
-        if seg.job_id not in known:
+        if seg.job_id not in arrival:
             violations.append(f"segment references unknown job {seg.job_id}")
         if seg.machine > s.instance.machines:
             violations.append(
@@ -186,43 +197,28 @@ def validate_schedule(s: Schedule) -> list[str]:
         violations.append(f"makespan {s.makespan} != latest segment end {latest}")
 
     for job in s.instance.jobs:
-        got = sum(seg.length for seg in s.segments if seg.job_id == job.id)
+        got = sum(seg.length for seg in by_job.get(job.id, ()))
         if got != job.processing:
             violations.append(f"job {job.id} received {got} of {job.processing} units")
 
-    by_machine: dict[int, list[Segment]] = {}
-    for seg in s.segments:
-        by_machine.setdefault(seg.machine, []).append(seg)
     for machine in sorted(by_machine):
         segs = sorted(by_machine[machine], key=lambda x: (x.start, x.end, x.job_id))
-        for i, a in enumerate(segs):
-            for b in segs[i + 1 :]:
-                span = _overlap(a, b)
-                if span:
-                    violations.append(
-                        f"machine {machine} overlap on [{span[0]},{span[1]})"
-                    )
+        for _, _, (lo, hi) in _overlaps(segs):
+            violations.append(f"machine {machine} overlap on [{lo},{hi})")
 
-    by_job: dict[int, list[Segment]] = {}
-    for seg in s.segments:
-        by_job.setdefault(seg.job_id, []).append(seg)
     for job_id in sorted(by_job):
         segs = sorted(by_job[job_id], key=lambda x: (x.start, x.end, x.machine))
-        for i, a in enumerate(segs):
-            for b in segs[i + 1 :]:
-                span = _overlap(a, b)
-                if span:
-                    violations.append(
-                        f"job {job_id} runs on machines {a.machine} and {b.machine}"
-                        f" simultaneously on [{span[0]},{span[1]})"
-                    )
+        for a, b, (lo, hi) in _overlaps(segs):
+            violations.append(
+                f"job {job_id} runs on machines {a.machine} and {b.machine}"
+                f" simultaneously on [{lo},{hi})"
+            )
 
     for seg in sorted(s.segments, key=lambda x: (x.job_id, x.start)):
-        if seg.job_id in known:
-            arrival = s.instance.job(seg.job_id).arrival
-            if seg.start < arrival:
-                violations.append(
-                    f"job {seg.job_id} starts at {seg.start} before arrival {arrival}"
-                )
+        if seg.job_id in arrival and seg.start < arrival[seg.job_id]:
+            violations.append(
+                f"job {seg.job_id} starts at {seg.start} before arrival"
+                f" {arrival[seg.job_id]}"
+            )
 
     return violations

@@ -18,6 +18,7 @@ from srptlab import (
     zero_release_opt,
 )
 from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, TheoremReport
+from srptlab.engine import select_srpt
 
 
 class TestCompetitiveRatio:
@@ -186,15 +187,19 @@ class TestDiscrepancyReport:
         def refuse(*args, **kwargs):
             raise AssertionError("discrepancy_report simulated again")
 
+        refused = {"simulate_srpt": simulate_srpt, "select_srpt": select_srpt}
         holders = [
-            module
+            (module, attr)
             for name, module in list(sys.modules.items())
             if name.split(".")[0] == "srptlab"
-            and getattr(module, "simulate_srpt", None) is simulate_srpt
+            for attr, func in refused.items()
+            if getattr(module, attr, None) is func
         ]
-        assert len(holders) >= 3  # engine, analysis and the package root
-        for module in holders:
-            monkeypatch.setattr(module, "simulate_srpt", refuse)
+        # engine and the package root hold simulate_srpt; engine and
+        # analysis hold select_srpt.
+        assert len(holders) >= 4
+        for module, attr in holders:
+            monkeypatch.setattr(module, attr, refuse)
         text = discrepancy_report(sweep)
         assert "[T3.1]" in text
         assert "[T3.4]" in text

@@ -141,6 +141,28 @@ class TestValidateSchedule:
         violations = validate_schedule(s)
         assert any("simultaneously on [1,2)" in v for v in violations)
 
+    def test_overlap_scan_reaches_past_a_shorter_segment(self):
+        # A covers B and C; B ends before C starts. Comparing only neighbours
+        # in start order would miss A against C.
+        inst = Instance(jobs=(Job(1, 0, 10), Job(2, 0, 1), Job(3, 0, 1)), machines=1)
+        s = Schedule.from_segments(
+            inst, [Segment(1, 1, 0, 10), Segment(2, 1, 1, 2), Segment(3, 1, 3, 4)]
+        )
+        assert validate_schedule(s) == [
+            "machine 1 overlap on [1,2)",
+            "machine 1 overlap on [3,4)",
+        ]
+
+    def test_job_overlap_scan_reaches_past_a_shorter_segment(self):
+        inst = Instance(jobs=(Job(1, 0, 12),), machines=2)
+        s = Schedule.from_segments(
+            inst, [Segment(1, 1, 0, 10), Segment(1, 2, 1, 2), Segment(1, 2, 3, 4)]
+        )
+        assert validate_schedule(s) == [
+            "job 1 runs on machines 1 and 2 simultaneously on [1,2)",
+            "job 1 runs on machines 1 and 2 simultaneously on [3,4)",
+        ]
+
     def test_release_respect(self):
         inst = Instance(jobs=(Job(1, 3, 2),), machines=1)
         s = Schedule.from_segments(inst, [Segment(1, 1, 0, 2)])

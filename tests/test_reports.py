@@ -73,7 +73,7 @@ def test_emit_sweep_formats():
     from srptlab.analysis import measure
 
     inst = generate(ClassSpec(ClassId.S5, n=2))
-    w_srpt, w_opt, cr = measure(inst, Migration.REASSIGN_ALL)
+    w_srpt, w_opt, cr = measure(inst)[Migration.REASSIGN_ALL]
     rows = [("S5", 2, 2, "reassign-all", w_srpt, w_opt, cr)]
     csv_out = emit_sweep(rows, "csv").decode().splitlines()
     assert csv_out[0] == "class,n,m,policy,w_srpt,w_opt_zero_release,cr_num,cr_den"
