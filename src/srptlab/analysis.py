@@ -2,9 +2,11 @@
 
 The claim table pairs each workload family with the closed-form makespans
 stated for it (ids T3.1..T3.5). A verification sweep runs SRPT's selection
-once per instance, places it under both migration policies, computes the
-zero-release baseline optimum, forms the exact ratio, and compares
-everything to the claimed formulas with integer/rational equality -- no
+once per instance and reads the makespan off its last epoch. Placement never
+changes which jobs run, so no job is placed: the one makespan is reported
+under both migration policies. It is divided by McNaughton's zero-release
+optimum, which must match the indexed-round baseline, and everything is
+compared to the claimed formulas with integer/rational equality -- no
 floating point anywhere in a verdict.
 
 Known outcomes the discrepancy report (reports.py) documents rather than hides:
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .engine import Migration, place, select_srpt
+from .engine import Migration, select_srpt
 from .model import Instance, Rational, rational_of
 from .oracles import mcnaughton, zero_release_opt
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
@@ -30,8 +32,6 @@ from .workloads import ClassId, ClassSpec, S3Interpretation, generate
 PASS = "PASS"
 MISMATCH = "MISMATCH"
 NOT_APPLICABLE = "N-A"
-
-BOTH_POLICIES: tuple[Migration, ...] = (Migration.REASSIGN_ALL, Migration.STICKY)
 
 
 def competitive_ratio(srpt_makespan: int, opt_makespan: int) -> Rational:
@@ -208,40 +208,44 @@ class SweepReport:
         return tuple(r for r in self.rows if r.verdict == MISMATCH)
 
 
-def measure(inst: Instance) -> dict[Migration, tuple[int, int, Rational]]:
-    """Select once, place under both policies, divide by the zero-release
-    baseline. Returns {policy: (w_srpt, w_opt, ratio)}. The baseline is the
-    indexed-round optimum, cross-checked against the McNaughton bound; the
-    two agree on every family a claim sweeps, so a disagreement is surfaced
-    instead of silently picking a denominator.
+def measure(inst: Instance) -> tuple[int, int, Rational]:
+    """(w_srpt, w_opt, ratio) for one instance, without placing any job.
+
+    w_srpt is the time of select_srpt's last entry, which sits at the
+    makespan under either migration policy. w_opt is McNaughton's preemptive
+    zero-release optimum, defined for any instance shape.
     """
-    log = list(select_srpt(inst))
-    opt = zero_release_opt(inst).makespan
-    preemptive = mcnaughton(inst).makespan
-    if opt != preemptive:
-        raise ValueError(
-            f"indexed-round baseline ({opt}) differs from the preemptive"
-            f" optimum ({preemptive}); this instance is outside the claim"
-            " families -- compare against mcnaughton() directly"
-        )
-    makespans = {p: place(inst, log, p)[0].makespan for p in BOTH_POLICIES}
-    return {p: (w, opt, competitive_ratio(w, opt)) for p, w in makespans.items()}
+    w_srpt = list(select_srpt(inst))[-1][0]
+    w_opt = mcnaughton(inst).makespan
+    return w_srpt, w_opt, competitive_ratio(w_srpt, w_opt)
 
 
 def _rows(
     label: str, class_specs, claim: TheoremSpec | None = None
 ) -> list[ReportRow]:
-    """Measure each instance under both policies; claimed cells stay empty
-    (verdict N-A) when there is no claim."""
+    """Measure each instance once and emit one row per policy; claimed cells
+    stay empty (verdict N-A) when there is no claim. The claims are stated
+    against the indexed-round baseline, so an instance where it differs from
+    McNaughton's optimum is refused rather than given another denominator.
+    """
     rows = []
     for class_spec in class_specs:
         n = class_spec.n
+        inst = generate(class_spec)
+        measured = measure(inst)
+        opt = zero_release_opt(inst).makespan
+        if opt != measured[1]:
+            raise ValueError(
+                f"indexed-round baseline ({opt}) differs from the preemptive"
+                f" optimum ({measured[1]}); this instance is outside the claim"
+                " families -- compare against mcnaughton() directly"
+            )
         claimed = (
             ()
             if claim is None
             else (claim.claimed_srpt(n), claim.claimed_opt(n), claim.claimed_cr(n))
         )
-        for policy, measured in measure(generate(class_spec)).items():
+        for policy in Migration:
             rows.append(ReportRow(label, n, policy.value, *measured, *claimed))
     return rows
 

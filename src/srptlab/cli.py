@@ -11,8 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from .analysis import BOTH_POLICIES, competitive_ratio, verify_all
-from .engine import Migration, PolicyConfig, place, select_srpt, simulate_srpt
+from .analysis import measure, verify_all
+from .engine import Migration, PolicyConfig, simulate_srpt
 from .files import (
     check_constraints,
     parse_instance,
@@ -109,14 +109,14 @@ def _write_or_print(data: bytes, out: str | None) -> None:
 
 
 def _cmd_simulate(args) -> int:
+    if args.gantt == "svg" and not args.out:
+        raise _UsageError("--gantt svg needs --out PATH")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
     print(f"makespan {schedule.makespan}")
     if args.dump:
         Path(args.dump).write_text(schedule_to_csv(schedule), encoding="utf-8")
     if args.gantt:
-        if args.gantt == "svg" and not args.out:
-            raise _UsageError("--gantt svg needs --out PATH")
         _write_or_print(render_gantt(schedule, args.gantt), args.out)
     return 0
 
@@ -155,17 +155,8 @@ def _cmd_sweep(args) -> int:
             processing_override=args.processing_override,
             s3_interpretation=args.s3_interpretation,
         )
-        inst = generate(spec)
-        # McNaughton is the zero-release optimum for any shape, including
-        # parametric instances where the indexed-round layout is not tight.
-        w_opt = mcnaughton(inst).makespan
-        log = list(select_srpt(inst))
-        for policy in BOTH_POLICIES:
-            schedule, _ = place(inst, log, policy)
-            cr = competitive_ratio(schedule.makespan, w_opt)
-            rows.append(
-                (args.class_id, n, m, policy.value, schedule.makespan, w_opt, cr)
-            )
+        measured = measure(generate(spec))
+        rows += [(args.class_id, n, m, p.value, *measured) for p in Migration]
     _write_or_print(emit_sweep(rows, args.format), args.out)
     return 0
 

@@ -2,9 +2,10 @@
 
 Three routes, deliberately independent of the online simulator:
 
-* zero_release_opt -- the baseline the verified claims measure against:
-  releases are ignored and equal-length jobs are packed non-preemptively in
-  index order, m per round.
+* zero_release_opt -- the baseline the claims are stated against: releases
+  are ignored and equal-length jobs are packed non-preemptively in index
+  order, m per round. Verification divides by mcnaughton and refuses any
+  instance where the two differ.
 * mcnaughton -- the preemptive zero-release optimum max(max T_i, ceil(sum/m)),
   achieved by the classic wrap-around rule; no witness schedule is built.
 * brute_force_opt -- exhaustive integer-grid search for small instances,
@@ -170,8 +171,9 @@ def brute_force_opt(
     )
     horizon = max(rel for rel, _ in jobs.values()) + total
 
+    start = _grouped(jobs)
     for target in range(lower, horizon + 1):
-        steps = _search_deadline(jobs, m, target)
+        steps = _search_deadline(0, start, m, target, set())
         if steps is not None:
             schedule = _witness(base, steps)
             method = (
@@ -183,50 +185,46 @@ def brute_force_opt(
     raise AssertionError("unreachable: the serial schedule always fits the horizon")
 
 
-def _search_deadline(jobs, m, deadline):
-    """Depth-first search for a schedule finishing every job by deadline.
+def _search_deadline(t: int, state: tuple, m: int, deadline: int, failed: set):
+    """Depth-first search from (t, state) for a schedule finishing every job
+    by deadline.
 
     Returns the list of (time, chosen group counts) on success, else None.
-    Only failed (time, state) pairs are memoised; a success path ends the
-    search.
+    Only failed (time, state) pairs are memoised in failed; a success path
+    ends the search. A module-level recursion rather than a closure, so the
+    memo table is freed as soon as the search returns.
     """
-    failed: set[tuple] = set()
-
-    def walk(t: int, state: tuple) -> list | None:
-        if not state:
-            return []
-        if (t, state) in failed:
-            return None
-        # A job cannot finish before max(t, release) + remaining.
-        for (rel, rem), _ in state:
-            if max(t, rel) + rem > deadline:
-                failed.add((t, state))
-                return None
-        avail = [((rel, rem), c) for (rel, rem), c in state if rel <= t]
-        if not avail:
-            t_next = min(rel for (rel, _), _ in state)
-            result = walk(t_next, state)
-            if result is None:
-                failed.add((t, state))
-            return result
-        avail.sort(key=lambda g: (-g[0][1], g[0][0]))
-        k = min(m, sum(c for _, c in avail))
-        for picks in _pick_multisets(avail, k):
-            counts = dict(state)
-            for (rel, rem), take in picks:
-                counts[(rel, rem)] -= take
-                if counts[(rel, rem)] == 0:
-                    del counts[(rel, rem)]
-                if rem - 1 > 0:
-                    counts[(rel, rem - 1)] = counts.get((rel, rem - 1), 0) + take
-            tail = walk(t + 1, tuple(sorted(counts.items())))
-            if tail is not None:
-                return [(t, picks)] + tail
-        failed.add((t, state))
+    if not state:
+        return []
+    if (t, state) in failed:
         return None
-
-    start = _grouped({jid: pair for jid, pair in jobs.items()})
-    return walk(0, start)
+    # A job cannot finish before max(t, release) + remaining.
+    for (rel, rem), _ in state:
+        if max(t, rel) + rem > deadline:
+            failed.add((t, state))
+            return None
+    avail = [((rel, rem), c) for (rel, rem), c in state if rel <= t]
+    if not avail:
+        t_next = min(rel for (rel, _), _ in state)
+        result = _search_deadline(t_next, state, m, deadline, failed)
+        if result is None:
+            failed.add((t, state))
+        return result
+    avail.sort(key=lambda g: (-g[0][1], g[0][0]))
+    k = min(m, sum(c for _, c in avail))
+    for picks in _pick_multisets(avail, k):
+        counts = dict(state)
+        for (rel, rem), take in picks:
+            counts[(rel, rem)] -= take
+            if counts[(rel, rem)] == 0:
+                del counts[(rel, rem)]
+            if rem - 1 > 0:
+                counts[(rel, rem - 1)] = counts.get((rel, rem - 1), 0) + take
+        tail = _search_deadline(t + 1, tuple(sorted(counts.items())), m, deadline, failed)
+        if tail is not None:
+            return [(t, picks)] + tail
+    failed.add((t, state))
+    return None
 
 
 def _witness(base: Instance, steps) -> Schedule:

@@ -8,7 +8,6 @@ import csv
 import io
 
 from .analysis import (
-    BOTH_POLICIES,
     MISMATCH,
     PASS,
     ReportRow,
@@ -16,6 +15,7 @@ from .analysis import (
     TheoremReport,
     theorem_spec,
 )
+from .engine import Migration
 from .model import Rational
 from .oracles import DEFAULT_CEILING, SearchCeilingError, brute_force_opt
 from .workloads import generate
@@ -170,7 +170,7 @@ def discrepancy_report(sweep: SweepReport) -> str:
         lines.append("[T3.1] S1 with m=2: measured vs claimed w_SRPT (even n)")
         body = []
         for n in sorted(t31_srpt):
-            per_policy = [t31_srpt[n][p.value] for p in BOTH_POLICIES]
+            per_policy = [t31_srpt[n][p.value] for p in Migration]
             inst = generate(t31.class_spec(n))
             try:
                 brute = str(brute_force_opt(inst, True, DEFAULT_CEILING).makespan)
@@ -183,7 +183,7 @@ def discrepancy_report(sweep: SweepReport) -> str:
                 + [str(v) for v in per_policy]
                 + [brute, str(claimed), status]
             )
-        header = ["n"] + [p.value for p in BOTH_POLICIES] + [
+        header = ["n"] + [p.value for p in Migration] + [
             "brute-force(releases)",
             "claimed",
             "status",

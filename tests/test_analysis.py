@@ -1,11 +1,15 @@
+import dataclasses
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from srptlab import (
     ClassId,
+    ClassSpec,
     Migration,
+    PolicyConfig,
     bound_check,
     competitive_ratio,
     discrepancy_report,
@@ -17,8 +21,33 @@ from srptlab import (
     verify_theorem,
     zero_release_opt,
 )
+from srptlab import engine
 from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, TheoremReport
-from srptlab.engine import select_srpt
+from srptlab.cli import main
+from srptlab.engine import place, select_srpt
+from srptlab.reports import emit_report
+
+OUT = Path(__file__).parent.parent / "out"
+
+
+def refuse_everywhere(monkeypatch, funcs: dict, message: str) -> list:
+    """Make every srptlab namespace holding one of funcs (name -> function)
+    raise AssertionError(message) instead; return the (module, name) pairs
+    replaced."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(message)
+
+    holders = [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name.split(".")[0] == "srptlab"
+        for attr, func in funcs.items()
+        if getattr(module, attr, None) is func
+    ]
+    for module, attr in holders:
+        monkeypatch.setattr(module, attr, refuse)
+    return holders
 
 
 class TestCompetitiveRatio:
@@ -122,6 +151,47 @@ class TestVerifyTheorem:
     def test_sweep_is_deterministic(self):
         assert verify_all(range(2, 8)) == verify_all(range(2, 8))
 
+    def test_refuses_where_indexed_rounds_and_mcnaughton_differ(self):
+        # S1 with m=2 at n=3: indexed rounds give 6, McNaughton gives 5.
+        spec = dataclasses.replace(theorem_spec("T3.2"), machines=2)
+        verify_theorem(spec, [2])
+        with pytest.raises(
+            ValueError,
+            match=r"indexed-round baseline \(6\) differs from the preemptive"
+            r" optimum \(5\)",
+        ):
+            verify_theorem(spec, [3])
+
+
+class TestMeasure:
+    def test_verify_and_sweep_place_no_job(self, monkeypatch, capsys):
+        golden = (OUT / "verdicts.csv").read_text().splitlines()
+        verdicts = golden[:1] + [ln for ln in golden[1:] if int(ln.split(",")[1]) <= 8]
+        sweep = ["class,n,m,policy,w_srpt,w_opt_zero_release,cr_num,cr_den"]
+        for n in range(2, 5):
+            inst = generate(ClassSpec(ClassId.S5, n=n))
+            w_opt = mcnaughton(inst).makespan
+            for policy in Migration:
+                w = simulate_srpt(inst, PolicyConfig(migration=policy))[0].makespan
+                cr = Fraction(w, w_opt)
+                sweep.append(
+                    f"S5,{n},{inst.machines},{policy.value},{w},{w_opt},"
+                    f"{cr.numerator},{cr.denominator}"
+                )
+
+        holders = refuse_everywhere(
+            monkeypatch,
+            {"simulate_srpt": simulate_srpt, "place": place},
+            "measured by placing jobs on machines",
+        )
+        assert (engine, "place") in holders
+        table = emit_report(verify_all(range(2, 9)), "csv").decode()
+        assert table.splitlines() == verdicts
+        assert main(
+            ["sweep", "--class", "S5", "--n-min", "2", "--n-max", "4", "--format", "csv"]
+        ) == 0
+        assert capsys.readouterr().out.splitlines() == sweep
+
 
 class TestBoundCheck:
     def test_t31_rows_stay_under_three_halves(self):
@@ -183,23 +253,14 @@ class TestDiscrepancyReport:
 
     def test_reads_the_sweep_without_simulating(self, monkeypatch):
         sweep = verify_all(range(2, 9))
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("discrepancy_report simulated again")
-
-        refused = {"simulate_srpt": simulate_srpt, "select_srpt": select_srpt}
-        holders = [
-            (module, attr)
-            for name, module in list(sys.modules.items())
-            if name.split(".")[0] == "srptlab"
-            for attr, func in refused.items()
-            if getattr(module, attr, None) is func
-        ]
+        holders = refuse_everywhere(
+            monkeypatch,
+            {"simulate_srpt": simulate_srpt, "select_srpt": select_srpt},
+            "discrepancy_report simulated again",
+        )
         # engine and the package root hold simulate_srpt; engine and
         # analysis hold select_srpt.
         assert len(holders) >= 4
-        for module, attr in holders:
-            monkeypatch.setattr(module, attr, refuse)
         text = discrepancy_report(sweep)
         assert "[T3.1]" in text
         assert "[T3.4]" in text

@@ -57,6 +57,18 @@ class TestSimulate:
         assert code == 1
         assert "usage error" in err
 
+    def test_svg_without_out_fails_before_simulating(self, tmp_path, capsys):
+        dump = tmp_path / "sched.csv"
+        code, out, err = run(
+            "simulate", "--class", "S1", "--n", "2", "--m", "2",
+            "--dump", str(dump), "--gantt", "svg",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "--gantt svg needs --out PATH" in err
+        assert not dump.exists()
+        assert "makespan" not in out
+
     def test_constraint_breach_is_input_error(self, capsys):
         code, _, err = run(
             "simulate", "--class", "parametric", "--n", "2", "--m", "3",
@@ -175,13 +187,20 @@ class TestSweep:
         assert "S5,2,2,reassign-all,9,8,9,8" in lines
 
     def test_fixed_machine_count(self, capsys):
-        code, out, _ = run(
-            "sweep", "--class", "S1", "--n-min", "4", "--n-max", "4", "--m", "2",
-            "--format", "csv",
-            capsys=capsys,
-        )
-        assert code == 0
-        assert "S1,4,2,reassign-all,9,8,9,8" in out.splitlines()
+        # At n=3 the indexed-round optimum (6) and McNaughton (5) differ;
+        # sweep divides by McNaughton.
+        for n, expected in (
+            ("4", ["S1,4,2,reassign-all,9,8,9,8"]),
+            ("3", ["S1,3,2,reassign-all,6,5,6,5", "S1,3,2,sticky,6,5,6,5"]),
+        ):
+            code, out, _ = run(
+                "sweep", "--class", "S1", "--n-min", n, "--n-max", n, "--m", "2",
+                "--format", "csv",
+                capsys=capsys,
+            )
+            assert code == 0
+            for line in expected:
+                assert line in out.splitlines()
 
 
 class TestRender:

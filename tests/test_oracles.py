@@ -1,3 +1,4 @@
+import gc
 import itertools
 
 import pytest
@@ -128,6 +129,18 @@ class TestBruteForce:
         result = brute_force_opt(inst, respect_releases=True)
         assert validate_schedule(result.schedule) == []
         assert result.schedule.makespan == result.makespan
+
+    def test_search_leaves_no_garbage_cycle(self):
+        # The failed-state memo must be freed on return, not at the next GC.
+        inst = generate(ClassSpec(ClassId.S1, n=4, m=2))
+        brute_force_opt(inst, True)
+        gc.collect()
+        gc.disable()
+        try:
+            brute_force_opt(inst, True)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_ceiling_refusal_states_limits(self):
         big = _inst([5] * 7, machines=2)

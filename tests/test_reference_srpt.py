@@ -4,6 +4,7 @@ from hypothesis import given, settings
 
 from _strategies import instances
 from srptlab import Migration, PolicyConfig, simulate_srpt
+from srptlab.analysis import measure
 from srptlab.engine import place, select_srpt
 
 
@@ -33,6 +34,7 @@ def test_engine_matches_reference_under_both_policies(inst):
     for policy in Migration:
         schedule, _ = simulate_srpt(inst, PolicyConfig(migration=policy))
         assert schedule.completion_times() == expected
+    assert measure(inst)[0] == max(expected.values())
 
 
 @given(inst=instances())
