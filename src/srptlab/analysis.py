@@ -211,11 +211,11 @@ class SweepReport:
 def measure(inst: Instance) -> tuple[int, int, Rational]:
     """(w_srpt, w_opt, ratio) for one instance, without placing any job.
 
-    w_srpt is the time of select_srpt's last entry, which sits at the
+    w_srpt is the time of select_srpt's last epoch, which sits at the
     makespan under either migration policy. w_opt is McNaughton's preemptive
     zero-release optimum, defined for any instance shape.
     """
-    w_srpt = list(select_srpt(inst))[-1][0]
+    w_srpt = list(select_srpt(inst))[-1].time
     w_opt = mcnaughton(inst).makespan
     return w_srpt, w_opt, competitive_ratio(w_srpt, w_opt)
 

@@ -122,6 +122,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_opt(args) -> int:
+    if args.dump and args.method == "mcnaughton":
+        raise _UsageError(f"method {args.method} produces no witness schedule")
     inst = _load_instance(args)
     if args.method == "paper":
         result = zero_release_opt(inst)
@@ -136,8 +138,6 @@ def _cmd_opt(args) -> int:
         result = brute_force_opt(inst, args.respect_releases, ceiling)
     print(f"{result.method.value} makespan {result.makespan}")
     if args.dump:
-        if result.schedule is None:
-            raise _UsageError(f"method {args.method} produces no witness schedule")
         Path(args.dump).write_text(schedule_to_csv(result.schedule), encoding="utf-8")
     return 0
 
@@ -188,6 +188,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    if args.style == "svg" and not args.out:
+        raise _UsageError("--style svg needs --out PATH")
     instance = None
     if args.instance:
         parsed = parse_instance(
@@ -197,8 +199,6 @@ def _cmd_render(args) -> int:
     schedule = schedule_from_csv(
         Path(args.in_path).read_text(encoding="utf-8"), instance
     )
-    if args.style == "svg" and not args.out:
-        raise _UsageError("--style svg needs --out PATH")
     _write_or_print(render_gantt(schedule, args.style), args.out)
     return 0
 

@@ -6,12 +6,14 @@ Simulation is two passes over one decision log.
   run. Decision epochs are exactly the distinct arrival and completion
   instants. At each epoch it runs the k = min(m, available) released jobs
   with the least remaining work, ties broken towards the lowest job id, and
-  yields the epoch's time, remaining-work snapshot and selected jobs.
-  Between consecutive epochs every selected job's remaining time drops by
-  the gap length.
-* ``place`` is the only code that assigns machines. It reads the log pairwise
-  and never changes which jobs run, so both policies below select the same
-  jobs and produce the same completion times by construction:
+  yields one ``Epoch``: the time, the remaining-work snapshot and the
+  selected jobs. Between consecutive epochs every selected job's remaining
+  time drops by the gap length. This log is the engine trace, so the trace
+  is the same under both policies.
+* ``place`` is the only code that assigns machines; the machines live only in
+  the schedule's segments. It reads the log pairwise and never changes which
+  jobs run, so both policies below select the same jobs and produce the same
+  completion times by construction:
 
   * ``reassign-all``: the selected jobs are laid out on machines 1..k in
     (remaining, id) order at every epoch, so a job may migrate even while it
@@ -29,11 +31,9 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import pairwise
 from operator import itemgetter
+from typing import NamedTuple
 
 from .model import Instance, Schedule, Segment
-
-Snapshot = tuple[tuple[int, int], ...]
-LogEntry = tuple[int, Snapshot, tuple[int, ...]]
 
 
 class Migration(str, Enum):
@@ -52,18 +52,18 @@ class PolicyConfig:
         object.__setattr__(self, "migration", Migration(self.migration))
 
 
-@dataclass(frozen=True)
-class Epoch:
-    """One decision point: the scan snapshot and the assignment taken.
+class Epoch(NamedTuple):
+    """One decision point of select_srpt's log.
 
     remaining holds (job_id, remaining_units) for every released unfinished
-    job at this instant; assignment holds (machine, job_id) pairs for the
-    interval that starts here.
+    job at this instant, in id order; running holds the ids selected for the
+    interval that starts here, in (remaining, id) order. The last epoch sits
+    at the makespan with both empty.
     """
 
     time: int
-    remaining: Snapshot
-    assignment: tuple[tuple[int, int], ...]
+    remaining: tuple[tuple[int, int], ...]
+    running: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -74,13 +74,9 @@ class EngineTrace:
         return tuple(e.time for e in self.epochs)
 
 
-def select_srpt(inst: Instance) -> Iterator[LogEntry]:
-    """The SRPT decision loop: yield (time, remaining, running) per epoch.
-
-    remaining is the (job_id, remaining_units) snapshot of every released
-    unfinished job, in id order; running holds the selected ids in
-    (remaining, id) order. The last entry sits at the makespan and is empty.
-    """
+def select_srpt(inst: Instance) -> Iterator[Epoch]:
+    """The SRPT decision loop: yield one Epoch per decision point, the last
+    one at the makespan."""
     pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
     remaining: dict[int, int] = {}  # released, unfinished jobs only
     t = pending[-1].arrival
@@ -92,7 +88,7 @@ def select_srpt(inst: Instance) -> Iterator[LogEntry]:
         # A stable sort by remaining work keeps ties in id order.
         ranked = sorted(snapshot, key=itemgetter(1))[: inst.machines]
         running = tuple(job_id for job_id, _ in ranked)
-        yield t, snapshot, running
+        yield Epoch(t, snapshot, running)
         if not (running or pending):
             return
         # With nothing running the machines idle until the next arrival.
@@ -105,20 +101,17 @@ def select_srpt(inst: Instance) -> Iterator[LogEntry]:
         t = step_end
 
 
-def place(
-    inst: Instance, log: Iterable[LogEntry], migration: Migration
-) -> tuple[Schedule, EngineTrace]:
+def place(inst: Instance, log: Iterable[Epoch], migration: Migration) -> Schedule:
     """Put each epoch's running jobs on machines and merge the segments.
 
-    log is select_srpt's output; consecutive entries bound the interval over
-    which one assignment holds.
+    log is select_srpt's output; consecutive epochs bound the interval over
+    which one placement holds.
     """
     sticky = Migration(migration) is Migration.STICKY
     machine_of: dict[int, int] = {}
     open_seg: dict[int, list[int]] = {}  # job -> [machine, start, end]
     closed: list[Segment] = []
-    epochs: list[Epoch] = []
-    for (t, remaining, running), (step_end, _, _) in pairwise(log):
+    for (t, _, running), (step_end, _, _) in pairwise(log):
         if sticky:
             kept = {job: machine_of[job] for job in running if job in machine_of}
             taken = set(kept.values())
@@ -126,8 +119,6 @@ def place(
             machine_of = {job: kept.get(job) or next(free) for job in running}
         else:
             machine_of = dict(zip(running, range(1, inst.machines + 1)))
-        assignment = tuple(sorted((m, j) for j, m in machine_of.items()))
-        epochs.append(Epoch(t, remaining, assignment))
         for job_id, machine in machine_of.items():
             seg = open_seg.get(job_id)
             if seg is not None and seg[0] == machine and seg[2] == t:
@@ -138,8 +129,7 @@ def place(
                 open_seg[job_id] = [machine, t, step_end]
 
     closed += (Segment(job_id, *seg) for job_id, seg in open_seg.items())
-    epochs.append(Epoch(time=step_end, remaining=(), assignment=()))
-    return Schedule.from_segments(inst, closed), EngineTrace(epochs=tuple(epochs))
+    return Schedule.from_segments(inst, closed)
 
 
 def simulate_srpt(
@@ -148,9 +138,11 @@ def simulate_srpt(
     """Run SRPT on the instance; return the schedule and the decision trace.
 
     The schedule passes validate_schedule (tested under hypothesis). The
-    trace ends with a final epoch at the makespan holding an empty snapshot.
+    trace is select_srpt's log, so it does not depend on the policy; it ends
+    with an epoch at the makespan holding an empty snapshot.
     """
-    return place(inst, select_srpt(inst), (cfg or PolicyConfig()).migration)
+    log = tuple(select_srpt(inst))
+    return place(inst, log, (cfg or PolicyConfig()).migration), EngineTrace(log)
 
 
 def remaining_profile(trace: EngineTrace, t: int) -> dict[int, int]:

@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from srptlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(*argv, capsys=None):
@@ -142,13 +144,16 @@ class TestOpt:
         assert "brute-force-zero-release makespan 13" in out
 
     def test_dump_requires_a_witness(self, tmp_path, capsys):
-        code, _, err = run(
+        dump = tmp_path / "w.csv"
+        code, out, err = run(
             "opt", "--method", "mcnaughton", "--class", "S1", "--n", "2", "--m", "2",
-            "--dump", str(tmp_path / "w.csv"),
+            "--dump", str(dump),
             capsys=capsys,
         )
         assert code == 1
         assert "witness" in err
+        assert "makespan" not in out
+        assert not dump.exists()
 
 
 class TestVerify:
@@ -230,6 +235,15 @@ class TestRender:
         assert code == 0
         assert "P1: |J1 J1 .|" in out
 
+    def test_svg_without_out_fails_before_reading(self, tmp_path, capsys):
+        code, _, err = run(
+            "render", "--in", str(tmp_path / "missing.csv"), "--style", "svg",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "--out" in err
+
 
 class TestUsageAndErrors:
     def test_missing_input_is_usage_error(self, capsys):
@@ -248,10 +262,13 @@ class TestUsageAndErrors:
 
 
 def test_module_entry_point():
+    # The child interpreter does not inherit pytest's pythonpath setting.
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "srptlab", "--help"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "verify-theorems" in proc.stdout

@@ -37,15 +37,17 @@ class TestSmallTraces:
         )
         assert trace.epoch_times() == (0, 1, 2, 3)
         assert trace.epochs[1].remaining == ((1, 1), (2, 2))
-        assert trace.epochs[1].assignment == ((1, 1), (2, 2))
-        # After J1 completes the survivor is compacted onto machine 1.
-        assert trace.epochs[2].assignment == ((1, 2),)
+        assert trace.epochs[1].running == (1, 2)
+        # After J1 completes only J2 runs; Segment(2, 1, 2, 3) above shows it
+        # compacted onto machine 1.
+        assert trace.epochs[2].running == (2,)
 
     def test_s1_n2_m2_sticky_keeps_machines(self):
         schedule, trace = simulate_srpt(s1(2, 2), STICKY)
         assert schedule.makespan == 3
         assert schedule.segments == (Segment(1, 1, 0, 2), Segment(2, 2, 1, 3))
-        assert trace.epochs[2].assignment == ((2, 2),)
+        # Placement lives in the segments; the trace is the shared selection.
+        assert trace == simulate_srpt(s1(2, 2), REASSIGN)[1]
 
     def test_single_job_no_contention(self):
         inst = Instance(jobs=(Job(1, 0, 7),), machines=3)
@@ -86,7 +88,7 @@ class TestSmallTraces:
         assert schedule.makespan == 7
         assert trace.epoch_times() == (0, 2, 5, 7)
         assert remaining_profile(trace, 2) == {}
-        assert trace.epochs[1].assignment == ()
+        assert trace.epochs[1].running == ()
 
 
 class TestRemainingProfile:
@@ -154,7 +156,7 @@ def test_busy_machine_property(inst):
     _, trace = simulate_srpt(inst)
     for epoch in trace.epochs:
         available = len(epoch.remaining)
-        idle = inst.machines - len(epoch.assignment)
+        idle = inst.machines - len(epoch.running)
         assert idle == max(0, inst.machines - available)
 
 
@@ -166,7 +168,7 @@ def test_priority_property(inst):
         _, trace = simulate_srpt(inst, cfg)
         for epoch in trace.epochs:
             remaining = dict(epoch.remaining)
-            running = {job for _, job in epoch.assignment}
+            running = set(epoch.running)
             waiting = [remaining[j] for j in remaining if j not in running]
             if not waiting or not running:
                 continue

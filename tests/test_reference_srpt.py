@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from _strategies import instances
 from srptlab import Migration, PolicyConfig, simulate_srpt
 from srptlab.analysis import measure
-from srptlab.engine import place, select_srpt
+from srptlab.engine import EngineTrace, place, select_srpt
 
 
 def reference_completions(inst):
@@ -41,5 +41,8 @@ def test_engine_matches_reference_under_both_policies(inst):
 @settings(max_examples=200)
 def test_both_placements_of_one_selection_complete_alike(inst):
     log = list(select_srpt(inst))
-    reassign, sticky = (place(inst, log, policy)[0] for policy in Migration)
+    reassign, sticky = (place(inst, log, policy) for policy in Migration)
     assert reassign.completion_times() == sticky.completion_times()
+    for policy in Migration:
+        _, trace = simulate_srpt(inst, PolicyConfig(migration=policy))
+        assert trace == EngineTrace(tuple(log))
