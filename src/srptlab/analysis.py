@@ -1,13 +1,13 @@
 """Competitive-ratio measurement and claim verification.
 
 The claim table pairs each workload family with the closed-form makespans
-stated for it (ids T3.1..T3.5). A verification sweep runs SRPT's selection
-once per instance and reads the makespan off its last epoch. Placement never
-changes which jobs run, so no job is placed: the one makespan is reported
-under both migration policies. It is divided by McNaughton's zero-release
-optimum, which must match the indexed-round baseline, and everything is
-compared to the claimed formulas with integer/rational equality -- no
-floating point anywhere in a verdict.
+stated for it (ids T3.1..T3.5). A verification sweep runs SRPT's decision
+loop once per instance and reads the makespan off its last epoch. Placement
+never changes which jobs run, so no job is placed: the one makespan is
+reported under both migration policies. It is divided by McNaughton's
+zero-release optimum, which must match the indexed-round baseline, and
+everything is compared to the claimed formulas with integer/rational
+equality -- no floating point anywhere in a verdict.
 
 Known outcomes the discrepancy report (reports.py) documents rather than hides:
 
@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .engine import Migration, select_srpt
+from .engine import Migration, _decisions
 from .model import Instance, Rational, rational_of
-from .oracles import mcnaughton, zero_release_opt
+from .oracles import _indexed_round_makespan, mcnaughton
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
 
 PASS = "PASS"
@@ -211,11 +211,13 @@ class SweepReport:
 def measure(inst: Instance) -> tuple[int, int, Rational]:
     """(w_srpt, w_opt, ratio) for one instance, without placing any job.
 
-    w_srpt is the time of select_srpt's last epoch, which sits at the
-    makespan under either migration policy. w_opt is McNaughton's preemptive
-    zero-release optimum, defined for any instance shape.
+    w_srpt is the time of the decision loop's last epoch, which sits at the
+    makespan under either migration policy; no snapshot is built. w_opt is
+    McNaughton's preemptive zero-release optimum, defined for any instance
+    shape.
     """
-    w_srpt = list(select_srpt(inst))[-1].time
+    for w_srpt, _ in _decisions(inst):
+        pass
     w_opt = mcnaughton(inst).makespan
     return w_srpt, w_opt, competitive_ratio(w_srpt, w_opt)
 
@@ -225,15 +227,16 @@ def _rows(
 ) -> list[ReportRow]:
     """Measure each instance once and emit one row per policy; claimed cells
     stay empty (verdict N-A) when there is no claim. The claims are stated
-    against the indexed-round baseline, so an instance where it differs from
-    McNaughton's optimum is refused rather than given another denominator.
+    against the indexed-round baseline, ceil(n/m) * t, so an instance where
+    it differs from McNaughton's optimum is refused rather than given another
+    denominator.
     """
     rows = []
     for class_spec in class_specs:
         n = class_spec.n
         inst = generate(class_spec)
         measured = measure(inst)
-        opt = zero_release_opt(inst).makespan
+        opt = _indexed_round_makespan(inst)
         if opt != measured[1]:
             raise ValueError(
                 f"indexed-round baseline ({opt}) differs from the preemptive"

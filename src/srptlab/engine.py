@@ -1,36 +1,45 @@
 """Event-driven simulator for the preemptive SRPT policy on identical machines.
 
-Simulation is two passes over one decision log.
+One decision loop feeds everything else, and each consumer pays only for
+what it reads.
 
-* ``select_srpt`` is the SRPT rule and the only code that decides which jobs
+* ``_decisions`` is the SRPT rule and the only code that decides which jobs
   run. Decision epochs are exactly the distinct arrival and completion
-  instants. At each epoch it runs the k = min(m, available) released jobs
-  with the least remaining work, ties broken towards the lowest job id, and
-  yields one ``Epoch``: the time, the remaining-work snapshot and the
-  selected jobs. Between consecutive epochs every selected job's remaining
-  time drops by the gap length. This log is the engine trace, so the trace
-  is the same under both policies.
+  instants. At each epoch the k = min(m, available) released jobs with the
+  least remaining work run, ties broken towards the lowest job id. Waiting
+  jobs sit in a heap on (remaining, id) and running jobs in a list sorted on
+  (finish, id): running jobs all lose work at the same rate, so that order
+  holds between epochs and only an arrival can preempt. The loop yields the
+  time and the running ids, and keeps no snapshot.
+* ``select_srpt`` replays the remaining work of every released job over the
+  loop and yields one ``Epoch`` per decision point: the time, the
+  remaining-work snapshot and the running jobs. This log is the engine trace,
+  so the trace is the same under both policies. ``EngineTrace`` holds only
+  the instance and builds the log when its epochs are read.
 * ``place`` is the only code that assigns machines; the machines live only in
-  the schedule's segments. It reads the log pairwise and never changes which
-  jobs run, so both policies below select the same jobs and produce the same
+  the schedule's segments. It takes the loop's output or select_srpt's log,
+  never changes which jobs run, and touches only the jobs whose machine
+  changes. Both policies therefore select the same jobs and produce the same
   completion times by construction:
 
-  * ``reassign-all``: the selected jobs are laid out on machines 1..k in
+  * ``reassign-all``: the running jobs are laid out on machines 1..k in
     (remaining, id) order at every epoch, so a job may migrate even while it
-    keeps running.
-  * ``sticky``: a selected job that was already running keeps its machine;
-    only newly selected jobs move onto freed or idle machines, lowest machine
-    index first.
+    keeps running; a job closes its segment only when its rank changes.
+  * ``sticky``: a running job keeps its machine; a job that stops running
+    frees its machine, and newly running jobs take the lowest free machines
+    in (remaining, id) order.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import pairwise
-from operator import itemgetter
+from heapq import heappop, heappush
+from itertools import compress, filterfalse
+from operator import eq
 from typing import NamedTuple
 
 from .model import Instance, Schedule, Segment
@@ -68,68 +77,132 @@ class Epoch(NamedTuple):
 
 @dataclass(frozen=True)
 class EngineTrace:
-    epochs: tuple[Epoch, ...]
+    """The selection log of one instance, built from the instance whenever
+    epochs is read.
+
+    Only the instance is stored, so equal instances give equal traces and a
+    caller that drops the trace unread pays nothing for its snapshots. The
+    log is not kept either: a caller that reads it more than once should
+    hold on to the tuple.
+    """
+
+    instance: Instance
+
+    @property
+    def epochs(self) -> tuple[Epoch, ...]:
+        return tuple(select_srpt(self.instance))
 
     def epoch_times(self) -> tuple[int, ...]:
         return tuple(e.time for e in self.epochs)
 
 
-def select_srpt(inst: Instance) -> Iterator[Epoch]:
-    """The SRPT decision loop: yield one Epoch per decision point, the last
-    one at the makespan."""
+def _decisions(inst: Instance) -> Iterator[tuple[int, list[int]]]:
+    """The SRPT decision loop: yield (time, running) once per epoch, the last
+    one at the makespan with nothing running.
+
+    running is the loop's own list of job ids in (finish, id) order, which is
+    (remaining, id) order; it changes once the consumer asks for the next
+    epoch, so a consumer that keeps it must copy it.
+    """
     pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
-    remaining: dict[int, int] = {}  # released, unfinished jobs only
+    waiting: list[tuple[int, int]] = []  # heap of (remaining, id)
+    running: list[int] = []
+    finish: dict[int, int] = {}  # running job -> completion time if not preempted
+
+    def rank(job_id: int) -> tuple[int, int]:
+        return finish[job_id], job_id
+
     t = pending[-1].arrival
     while True:
         while pending and pending[-1].arrival <= t:
             job = pending.pop()
-            remaining[job.id] = job.processing
-        snapshot = tuple(sorted(remaining.items()))
-        # A stable sort by remaining work keeps ties in id order.
-        ranked = sorted(snapshot, key=itemgetter(1))[: inst.machines]
-        running = tuple(job_id for job_id, _ in ranked)
-        yield Epoch(t, snapshot, running)
+            heappush(waiting, (job.processing, job.id))
+        # Running jobs all lose work at the same rate, so their order holds
+        # and they stay ahead of every waiting job: only arrivals preempt.
+        while waiting and (
+            len(running) < inst.machines
+            or waiting[0] < (finish[running[-1]] - t, running[-1])
+        ):
+            work, job_id = heappop(waiting)
+            if len(running) == inst.machines:
+                worst = running.pop()
+                heappush(waiting, (finish.pop(worst) - t, worst))
+            finish[job_id] = t + work
+            insort(running, job_id, key=rank)
+        yield t, running
         if not (running or pending):
             return
         # With nothing running the machines idle until the next arrival.
-        first_done = t + remaining[running[0]] if running else math.inf
-        step_end = min(first_done, pending[-1].arrival if pending else math.inf)
-        for job_id in running:
-            remaining[job_id] -= step_end - t
-            if not remaining[job_id]:
-                del remaining[job_id]
-        t = step_end
+        t = min(
+            finish[running[0]] if running else math.inf,
+            pending[-1].arrival if pending else math.inf,
+        )
+        while running and finish[running[0]] == t:
+            del finish[running.pop(0)]
 
 
-def place(inst: Instance, log: Iterable[Epoch], migration: Migration) -> Schedule:
+def select_srpt(inst: Instance) -> Iterator[Epoch]:
+    """The decision log with snapshots: one Epoch per decision point, the
+    last one at the makespan. It replays the remaining work of every released
+    job over _decisions; the choice of who runs is made there alone."""
+    pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
+    # (id, remaining) per released, unfinished job; a waiting job's entry is
+    # shared by consecutive snapshots.
+    entry: dict[int, tuple[int, int]] = {}
+    ran: tuple[int, ...] = ()
+    prev = 0
+    for t, running in _decisions(inst):
+        for job_id in ran:
+            left = entry[job_id][1] - (t - prev)
+            if left:
+                entry[job_id] = (job_id, left)
+            else:
+                del entry[job_id]
+        while pending and pending[-1].arrival <= t:
+            job = pending.pop()
+            entry[job.id] = (job.id, job.processing)
+        ran, prev = tuple(running), t
+        yield Epoch(t, tuple(sorted(entry.values())), ran)
+
+
+def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
     """Put each epoch's running jobs on machines and merge the segments.
 
-    log is select_srpt's output; consecutive epochs bound the interval over
-    which one placement holds.
+    log holds (time, ..., running) items, as select_srpt's Epochs are, with
+    running in (remaining, id) order. The placement made at one epoch holds
+    until the next; the last epoch, where nothing runs, closes every segment.
+    Only jobs whose machine changes are touched: a job that leaves the
+    running set, or under reassign-all changes rank, closes its segment, and
+    a job that enters opens one.
     """
     sticky = Migration(migration) is Migration.STICKY
-    machine_of: dict[int, int] = {}
-    open_seg: dict[int, list[int]] = {}  # job -> [machine, start, end]
-    closed: list[Segment] = []
-    for (t, _, running), (step_end, _, _) in pairwise(log):
-        if sticky:
-            kept = {job: machine_of[job] for job in running if job in machine_of}
-            taken = set(kept.values())
-            free = (mach for mach in range(1, inst.machines + 1) if mach not in taken)
-            machine_of = {job: kept.get(job) or next(free) for job in running}
-        else:
-            machine_of = dict(zip(running, range(1, inst.machines + 1)))
-        for job_id, machine in machine_of.items():
-            seg = open_seg.get(job_id)
-            if seg is not None and seg[0] == machine and seg[2] == t:
-                seg[2] = step_end
-            else:
-                if seg is not None:
-                    closed.append(Segment(job_id, *seg))
-                open_seg[job_id] = [machine, t, step_end]
+    free = list(range(1, inst.machines + 1))  # sticky: idle machines, a min-heap
+    held: dict[int, tuple[int, int]] = {}  # running job -> (machine, start)
+    ranked: tuple[int, ...] = ()  # reassign-all: the last epoch's running
+    segments: list[Segment] = []
 
-    closed += (Segment(job_id, *seg) for job_id, seg in open_seg.items())
-    return Schedule.from_segments(inst, closed)
+    def close(job_id: int, t: int) -> int:
+        machine, start = held.pop(job_id)
+        segments.append(Segment(job_id, machine, start, t))
+        return machine
+
+    for t, *_, running in log:
+        if sticky:
+            for job_id in held.keys() - set(running):
+                heappush(free, close(job_id, t))
+            for job_id in filterfalse(held.__contains__, running):
+                held[job_id] = (heappop(free), t)
+        else:
+            # Job i of running sits on machine i; those at an unchanged rank
+            # keep their segment.
+            kept = set(compress(running, map(eq, ranked, running)))
+            for job_id in held.keys() - kept:
+                close(job_id, t)
+            for machine, job_id in enumerate(running, 1):
+                if job_id not in held:
+                    held[job_id] = (machine, t)
+            ranked = tuple(running)
+    return Schedule.from_segments(inst, segments)
 
 
 def simulate_srpt(
@@ -137,12 +210,14 @@ def simulate_srpt(
 ) -> tuple[Schedule, EngineTrace]:
     """Run SRPT on the instance; return the schedule and the decision trace.
 
-    The schedule passes validate_schedule (tested under hypothesis). The
-    trace is select_srpt's log, so it does not depend on the policy; it ends
-    with an epoch at the makespan holding an empty snapshot.
+    The schedule passes validate_schedule (tested under hypothesis) and is
+    placed straight from the decision loop, without snapshots. The trace is
+    select_srpt's log, built each time its epochs are read; it does not
+    depend on the policy and ends with an epoch at the makespan holding an
+    empty snapshot.
     """
-    log = tuple(select_srpt(inst))
-    return place(inst, log, (cfg or PolicyConfig()).migration), EngineTrace(log)
+    migration = (cfg or PolicyConfig()).migration
+    return place(inst, _decisions(inst), migration), EngineTrace(inst)
 
 
 def remaining_profile(trace: EngineTrace, t: int) -> dict[int, int]:
@@ -151,9 +226,10 @@ def remaining_profile(trace: EngineTrace, t: int) -> dict[int, int]:
     t must be one of the trace's decision epochs; any other instant is
     rejected because the scan list is only defined at decision points.
     """
-    for epoch in trace.epochs:
+    epochs = trace.epochs
+    for epoch in epochs:
         if epoch.time == t:
             return dict(epoch.remaining)
     raise ValueError(
-        f"time {t} is not a decision epoch; epochs are {list(trace.epoch_times())}"
+        f"time {t} is not a decision epoch; epochs are {[e.time for e in epochs]}"
     )

@@ -5,7 +5,8 @@ Three routes, deliberately independent of the online simulator:
 * zero_release_opt -- the baseline the claims are stated against: releases
   are ignored and equal-length jobs are packed non-preemptively in index
   order, m per round. Verification divides by mcnaughton and refuses any
-  instance where the two differ.
+  instance where it differs from this baseline's makespan ceil(n/m) * t,
+  which it reads off the instance without building the schedule.
 * mcnaughton -- the preemptive zero-release optimum max(max T_i, ceil(sum/m)),
   achieved by the classic wrap-around rule; no witness schedule is built.
 * brute_force_opt -- exhaustive integer-grid search for small instances,
@@ -59,6 +60,19 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
+def _indexed_round_makespan(inst: Instance) -> int:
+    """ceil(n/m) * t, the indexed-round baseline's makespan; only defined
+    when all processing times equal t."""
+    lengths = {job.processing for job in inst.jobs}
+    if len(lengths) > 1:
+        raise UnsupportedInstanceError(
+            "the indexed-round baseline is defined only for equal processing"
+            f" times (saw {sorted(lengths)}); use mcnaughton() or"
+            " brute_force_opt() instead"
+        )
+    return _ceil_div(inst.job_count, inst.machines) * lengths.pop()
+
+
 def zero_release_opt(inst: Instance) -> OptResult:
     """Offline baseline for equal-length jobs: releases are treated as zero
     and job i runs non-preemptively on machine ((i-1) mod m)+1 in round
@@ -67,14 +81,8 @@ def zero_release_opt(inst: Instance) -> OptResult:
     Only defined when all processing times are equal; otherwise rejected
     with a pointer to mcnaughton / brute_force_opt.
     """
-    lengths = {job.processing for job in inst.jobs}
-    if len(lengths) > 1:
-        raise UnsupportedInstanceError(
-            "the indexed-round baseline is defined only for equal processing"
-            f" times (saw {sorted(lengths)}); use mcnaughton() or"
-            " brute_force_opt() instead"
-        )
-    t = lengths.pop()
+    makespan = _indexed_round_makespan(inst)
+    t = inst.jobs[0].processing
     m = inst.machines
     offline = inst.with_zero_releases()
     segments = []
@@ -83,11 +91,7 @@ def zero_release_opt(inst: Instance) -> OptResult:
         machine = (job.id - 1) % m + 1
         segments.append(Segment(job.id, machine, (round_no - 1) * t, round_no * t))
     schedule = Schedule.from_segments(offline, segments)
-    return OptResult(
-        makespan=_ceil_div(inst.job_count, m) * t,
-        method=OptMethod.PAPER_OPT,
-        schedule=schedule,
-    )
+    return OptResult(makespan=makespan, method=OptMethod.PAPER_OPT, schedule=schedule)
 
 
 def mcnaughton(inst: Instance) -> OptResult:

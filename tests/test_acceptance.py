@@ -286,3 +286,14 @@ def test_c8_determinism_and_golden_files(sweep, tmp_path, capsys):
     assert a == (OUT / "verdicts.csv").read_bytes()
     assert disc_a == (OUT / "discrepancies.txt").read_bytes()
     assert emit_report(sweep, "text") == (OUT / "verdicts.txt").read_bytes()
+
+
+@criterion(
+    "C9 widening the sweep to n=2..128 leaves every n<=64 verdict row"
+    " byte-identical to out/verdicts.csv"
+)
+def test_c9_wider_range_keeps_the_default_verdicts():
+    wide = emit_report(verify_all(range(2, 129)), "csv").decode().splitlines()
+    assert max(int(ln.split(",")[1]) for ln in wide[1:]) == 128
+    narrowed = wide[:1] + [ln for ln in wide[1:] if int(ln.split(",")[1]) <= 64]
+    assert narrowed == (OUT / "verdicts.csv").read_text().splitlines()

@@ -21,7 +21,7 @@ from srptlab import (
     verify_theorem,
     zero_release_opt,
 )
-from srptlab import engine
+from srptlab import analysis, engine
 from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, TheoremReport
 from srptlab.cli import main
 from srptlab.engine import place, select_srpt
@@ -179,12 +179,15 @@ class TestMeasure:
                     f"{cr.numerator},{cr.denominator}"
                 )
 
+        # Verify and sweep run the decision loop alone: they neither place a
+        # job nor build a snapshot.
         holders = refuse_everywhere(
             monkeypatch,
-            {"simulate_srpt": simulate_srpt, "place": place},
-            "measured by placing jobs on machines",
+            {"simulate_srpt": simulate_srpt, "place": place, "select_srpt": select_srpt},
+            "measured by placing jobs on machines or by snapshots",
         )
         assert (engine, "place") in holders
+        assert (engine, "select_srpt") in holders
         table = emit_report(verify_all(range(2, 9)), "csv").decode()
         assert table.splitlines() == verdicts
         assert main(
@@ -255,12 +258,17 @@ class TestDiscrepancyReport:
         sweep = verify_all(range(2, 9))
         holders = refuse_everywhere(
             monkeypatch,
-            {"simulate_srpt": simulate_srpt, "select_srpt": select_srpt},
+            {
+                "simulate_srpt": simulate_srpt,
+                "select_srpt": select_srpt,
+                "_decisions": engine._decisions,
+            },
             "discrepancy_report simulated again",
         )
-        # engine and the package root hold simulate_srpt; engine and
-        # analysis hold select_srpt.
+        # engine and the package root hold simulate_srpt, engine holds
+        # select_srpt, and engine and analysis hold the decision loop.
         assert len(holders) >= 4
+        assert (analysis, "_decisions") in holders
         text = discrepancy_report(sweep)
         assert "[T3.1]" in text
         assert "[T3.4]" in text

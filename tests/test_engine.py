@@ -15,6 +15,8 @@ from srptlab import (
     simulate_srpt,
     validate_schedule,
 )
+from srptlab import engine
+from srptlab.engine import place, select_srpt
 
 REASSIGN = PolicyConfig(migration=Migration.REASSIGN_ALL)
 STICKY = PolicyConfig(migration=Migration.STICKY)
@@ -89,6 +91,29 @@ class TestSmallTraces:
         assert trace.epoch_times() == (0, 2, 5, 7)
         assert remaining_profile(trace, 2) == {}
         assert trace.epochs[1].running == ()
+
+
+class TestLazyTrace:
+    @pytest.mark.parametrize(
+        "spec",
+        [ClassSpec(ClassId.S1, n=5, m=2), ClassSpec(ClassId.S5, n=4)],
+        ids=["S1-n5-m2", "S5-n4"],
+    )
+    def test_simulate_builds_no_snapshot(self, monkeypatch, spec):
+        inst = generate(spec)
+        log = list(select_srpt(inst))
+        expected = {cfg: place(inst, log, cfg.migration) for cfg in (REASSIGN, STICKY)}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulate_srpt built a snapshot")
+
+        monkeypatch.setattr(engine, "select_srpt", refuse)
+        monkeypatch.setattr(engine, "Epoch", refuse)
+        results = {cfg: simulate_srpt(inst, cfg) for cfg in expected}
+        monkeypatch.undo()
+        for cfg, (schedule, trace) in results.items():
+            assert schedule == expected[cfg]
+            assert trace.epochs == tuple(select_srpt(inst))
 
 
 class TestRemainingProfile:
