@@ -124,6 +124,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_opt(args) -> int:
     if args.dump and args.method == "mcnaughton":
         raise _UsageError(f"method {args.method} produces no witness schedule")
+    if args.respect_releases and args.method != "brute":
+        raise _UsageError(
+            f"method {args.method} ignores releases; --respect-releases needs"
+            " --method brute"
+        )
     inst = _load_instance(args)
     if args.method == "paper":
         result = zero_release_opt(inst)

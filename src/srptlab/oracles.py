@@ -10,7 +10,10 @@ Three routes, deliberately independent of the online simulator:
 * mcnaughton -- the preemptive zero-release optimum max(max T_i, ceil(sum/m)),
   achieved by the classic wrap-around rule; no witness schedule is built.
 * brute_force_opt -- exhaustive integer-grid search for small instances,
-  with or without release dates; returns a witness schedule.
+  with or without release dates; returns a witness schedule. It prunes a
+  state when the work released at or after some r exceeds m times the time
+  left after max(now, r): that work cannot start earlier, so no completion
+  of the state meets the target.
 """
 
 from __future__ import annotations
@@ -148,6 +151,9 @@ def brute_force_opt(
     chosen exhaustively (running fewer than k can never help, by exchange).
     Feasibility is tested against increasing makespan targets starting at
     the trivial lower bound, so the first feasible target is the optimum.
+    Targets below the optimum are mostly rejected by a capacity bound, not by
+    enumeration: work released at or after r cannot start before max(t, r),
+    so it must fit in m * (target - max(t, r)).
     The memo table of failed states is per call.
 
     Refuses instances beyond the ceiling; the limits are stated in the error.
@@ -193,6 +199,12 @@ def _search_deadline(t: int, state: tuple, m: int, deadline: int, failed: set):
     """Depth-first search from (t, state) for a schedule finishing every job
     by deadline.
 
+    A state fails at once if some job cannot finish in time on its own, or
+    if the jobs released at or after some release r hold more work than m
+    machines can do in [max(t, r), deadline) -- they cannot run earlier.
+    Both checks cut only subtrees with no feasible completion, so the first
+    feasible path found is the one the unpruned search would find.
+
     Returns the list of (time, chosen group counts) on success, else None.
     Only failed (time, state) pairs are memoised in failed; a success path
     ends the search. A module-level recursion rather than a closure, so the
@@ -202,9 +214,14 @@ def _search_deadline(t: int, state: tuple, m: int, deadline: int, failed: set):
         return []
     if (t, state) in failed:
         return None
-    # A job cannot finish before max(t, release) + remaining.
-    for (rel, rem), _ in state:
-        if max(t, rel) + rem > deadline:
+    # The state is sorted on (release, remaining), so walking it backwards
+    # the running sum covers only jobs released at or after rel -- all of
+    # them at the last group of that release, a subset before it.
+    suffix = 0
+    for (rel, rem), c in reversed(state):
+        suffix += rem * c
+        start = max(t, rel)
+        if start + rem > deadline or suffix > m * (deadline - start):
             failed.add((t, state))
             return None
     avail = [((rel, rem), c) for (rel, rem), c in state if rel <= t]

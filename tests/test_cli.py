@@ -155,6 +155,19 @@ class TestOpt:
         assert "makespan" not in out
         assert not dump.exists()
 
+    @pytest.mark.parametrize("method", ["paper", "mcnaughton"])
+    def test_respect_releases_needs_brute(self, capsys, method):
+        # Both methods zero the releases: they would print 8 for S1 n=4 m=2,
+        # whose release-respecting optimum is 9.
+        code, out, err = run(
+            "opt", "--method", method, "--respect-releases",
+            "--class", "S1", "--n", "4", "--m", "2",
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "ignores releases" in err
+        assert "makespan" not in out
+
 
 class TestVerify:
     def test_small_range_all_pass_exits_zero(self, capsys):

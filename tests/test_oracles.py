@@ -33,6 +33,32 @@ def _inst(processings, releases=None, machines=1):
     return Instance(jobs=jobs, machines=machines)
 
 
+def _reference_optimum(inst):
+    """Release-respecting optimum by plain unit-step search: every reachable
+    per-job remaining vector, one time layer at a time, with any subset of
+    at most m released jobs (idling included) run in each step. No grouping
+    of interchangeable jobs and no pruning, so it shares no shortcut with
+    brute_force_opt."""
+    jobs = inst.jobs
+    done = (0,) * len(jobs)
+    layer = {tuple(job.processing for job in jobs)}
+    t = 0
+    while done not in layer:
+        successors = set()
+        for remaining in layer:
+            ready = [
+                i for i, job in enumerate(jobs) if job.arrival <= t and remaining[i]
+            ]
+            for k in range(min(inst.machines, len(ready)) + 1):
+                for run in itertools.combinations(ready, k):
+                    successors.add(
+                        tuple(left - (i in run) for i, left in enumerate(remaining))
+                    )
+        layer = successors
+        t += 1
+    return t
+
+
 class TestZeroReleaseOpt:
     def test_two_equal_jobs_two_machines(self):
         result = zero_release_opt(_inst([2, 2], machines=2))
@@ -156,6 +182,24 @@ class TestBruteForce:
         loose = SearchCeiling(max_jobs=10, max_machines=4, max_total_work=40)
         assert brute_force_opt(big, respect_releases=False, ceiling=loose).makespan == 18
 
+    @pytest.mark.parametrize("n", [6, 8, 10, 12])
+    def test_s1_m2_even_n_optimum_is_srpt_makespan(self, n):
+        # The capacity prune cuts short the search of every target below
+        # n^2/2 + 1, which is what makes n = 12 (144 units) take milliseconds.
+        inst = generate(ClassSpec(ClassId.S1, n=n, m=2))
+        loose = SearchCeiling(max_jobs=n, max_machines=2, max_total_work=n * n)
+        result = brute_force_opt(inst, respect_releases=True, ceiling=loose)
+        assert result.makespan == n * n // 2 + 1
+        srpt, _ = simulate_srpt(inst)
+        assert srpt.makespan == result.makespan
+        assert validate_schedule(result.schedule) == []
+
+    def test_s1_n6_m2_zero_release_optimum_is_mcnaughton(self):
+        inst = generate(ClassSpec(ClassId.S1, n=6, m=2))
+        loose = SearchCeiling(max_total_work=36)
+        assert brute_force_opt(inst, respect_releases=False, ceiling=loose).makespan == 18
+        assert mcnaughton(inst).makespan == 18
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_s3_literal_zero_release_optimum_is_2n(self, n):
         inst = generate(
@@ -190,6 +234,13 @@ class TestOracleAgreement:
         assert with_rel.makespan >= without.makespan
         assert validate_schedule(with_rel.schedule) == []
         assert validate_schedule(without.schedule) == []
+
+    @given(inst=instances(max_n=4, max_processing=3))
+    @settings(max_examples=80, deadline=None)
+    def test_release_respecting_optimum_matches_plain_unit_step_search(self, inst):
+        # An unsound prune would raise the optimum; this catches it even
+        # where SRPT's makespan would hide it.
+        assert brute_force_opt(inst, True).makespan == _reference_optimum(inst)
 
     @given(inst=instances())
     @settings(max_examples=60, deadline=None)
