@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .analysis import measure, verify_all
@@ -21,13 +22,7 @@ from .files import (
 )
 from .gantt import render_gantt
 from .model import Instance
-from .oracles import (
-    DEFAULT_CEILING,
-    SearchCeiling,
-    brute_force_opt,
-    mcnaughton,
-    zero_release_opt,
-)
+from .oracles import DEFAULT_CEILING, brute_force_opt, mcnaughton, zero_release_opt
 from .reports import discrepancy_report, emit_report, emit_sweep
 from .workloads import ClassId, ClassSpec, generate
 
@@ -129,17 +124,23 @@ def _cmd_opt(args) -> int:
             f"method {args.method} ignores releases; --respect-releases needs"
             " --method brute"
         )
+    bounds = {
+        "max_jobs": args.ceiling_jobs,
+        "max_machines": args.ceiling_machines,
+        "max_total_work": args.ceiling_work,
+    }
+    bounds = {field: v for field, v in bounds.items() if v is not None}
+    if bounds and args.method != "brute":
+        raise _UsageError(
+            f"method {args.method} runs no search; --ceiling-* needs --method brute"
+        )
     inst = _load_instance(args)
     if args.method == "paper":
         result = zero_release_opt(inst)
     elif args.method == "mcnaughton":
         result = mcnaughton(inst)
     else:
-        ceiling = SearchCeiling(
-            max_jobs=args.ceiling_jobs,
-            max_machines=args.ceiling_machines,
-            max_total_work=args.ceiling_work,
-        )
+        ceiling = replace(DEFAULT_CEILING, **bounds)
         result = brute_force_opt(inst, args.respect_releases, ceiling)
     print(f"{result.method.value} makespan {result.makespan}")
     if args.dump:
@@ -169,6 +170,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise _UsageError("need 1 <= --n-min <= --n-max")
+    if args.discrepancies and not args.out:
+        raise _UsageError("--discrepancies needs --out PATH")
     sweep = verify_all(range(args.n_min, args.n_max + 1))
     table = emit_report(sweep, args.format)
     disc = discrepancy_report(sweep).encode("utf-8")
@@ -240,13 +243,10 @@ def build_parser() -> _Parser:
         action="store_true",
         help="brute force only: keep arrival times instead of zeroing them",
     )
-    p_opt.add_argument("--ceiling-jobs", type=int, default=DEFAULT_CEILING.max_jobs)
-    p_opt.add_argument(
-        "--ceiling-machines", type=int, default=DEFAULT_CEILING.max_machines
-    )
-    p_opt.add_argument(
-        "--ceiling-work", type=int, default=DEFAULT_CEILING.max_total_work
-    )
+    for flag in ("--ceiling-jobs", "--ceiling-machines", "--ceiling-work"):
+        p_opt.add_argument(
+            flag, type=int, help="brute only: override this search-ceiling bound"
+        )
     p_opt.add_argument("--dump", help="write the witness schedule as CSV segments")
     p_opt.set_defaults(func=_cmd_opt)
 

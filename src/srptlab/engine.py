@@ -7,27 +7,27 @@ what it reads.
   run. Decision epochs are exactly the distinct arrival and completion
   instants. At each epoch the k = min(m, available) released jobs with the
   least remaining work run, ties broken towards the lowest job id. Waiting
-  jobs sit in a heap on (remaining, id) and running jobs in a list sorted on
-  (finish, id): running jobs all lose work at the same rate, so that order
-  holds between epochs and only an arrival can preempt. The loop yields the
-  time and the running ids, and keeps no snapshot.
+  jobs sit in a heap on (remaining, id) and running jobs in a list of
+  (finish, id) pairs kept sorted: running jobs all lose work at the same
+  rate, so that order holds between epochs and only an arrival can preempt.
+  Each epoch reports the running pairs and the jobs that stopped and started.
 * ``select_srpt`` replays the remaining work of every released job over the
   loop and yields one ``Epoch`` per decision point: the time, the
   remaining-work snapshot and the running jobs. This log is the engine trace,
   so the trace is the same under both policies. ``EngineTrace`` holds only
   the instance and builds the log when its epochs are read.
 * ``place`` is the only code that assigns machines; the machines live only in
-  the schedule's segments. It takes the loop's output or select_srpt's log,
-  never changes which jobs run, and touches only the jobs whose machine
-  changes. Both policies therefore select the same jobs and produce the same
+  the schedule's segments. It consumes the loop's reports and never changes
+  which jobs run, so both policies select the same jobs and produce the same
   completion times by construction:
 
   * ``reassign-all``: the running jobs are laid out on machines 1..k in
-    (remaining, id) order at every epoch, so a job may migrate even while it
-    keeps running; a job closes its segment only when its rank changes.
-  * ``sticky``: a running job keeps its machine; a job that stops running
-    frees its machine, and newly running jobs take the lowest free machines
-    in (remaining, id) order.
+    (remaining, id) order at every epoch where something stopped or started,
+    so a job may migrate while it keeps running; a job closes its segment
+    only when its rank changes.
+  * ``sticky``: a running job keeps its machine; a stopped job frees its
+    machine and each started job takes the lowest free one, so an epoch costs
+    only its changes.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import compress, filterfalse
-from operator import eq
+from itertools import compress
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .model import Instance, Schedule, Segment
@@ -96,49 +96,50 @@ class EngineTrace:
         return tuple(e.time for e in self.epochs)
 
 
-def _decisions(inst: Instance) -> Iterator[tuple[int, list[int]]]:
-    """The SRPT decision loop: yield (time, running) once per epoch, the last
-    one at the makespan with nothing running.
+def _decisions(inst: Instance) -> Iterator[tuple[int, list, list[int], list[int]]]:
+    """The SRPT decision loop: yield (time, running, stopped, started) once
+    per epoch, the last one at the makespan with nothing running.
 
-    running is the loop's own list of job ids in (finish, id) order, which is
-    (remaining, id) order; it changes once the consumer asks for the next
-    epoch, so a consumer that keeps it must copy it.
+    running is the loop's own sorted list of (finish, id) pairs, which is
+    (remaining, id) order, and changes once the next epoch is asked for.
+    stopped (completed or preempted here) and started (admitted here, in
+    (remaining, id) order) are fresh, disjoint lists of job ids.
     """
     pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
     waiting: list[tuple[int, int]] = []  # heap of (remaining, id)
-    running: list[int] = []
-    finish: dict[int, int] = {}  # running job -> completion time if not preempted
-
-    def rank(job_id: int) -> tuple[int, int]:
-        return finish[job_id], job_id
-
+    running: list[tuple[int, int]] = []  # (completion if not preempted, id)
     t = pending[-1].arrival
     while True:
+        stopped, started = [], []
+        while running and running[0][0] == t:
+            stopped.append(running.pop(0)[1])
         while pending and pending[-1].arrival <= t:
             job = pending.pop()
             heappush(waiting, (job.processing, job.id))
         # Running jobs all lose work at the same rate, so their order holds
         # and they stay ahead of every waiting job: only arrivals preempt.
+        # Admissions leave the heap in increasing order and each preempted
+        # job ranks above the one that displaced it, so no job both stops
+        # and starts at one instant.
         while waiting and (
             len(running) < inst.machines
-            or waiting[0] < (finish[running[-1]] - t, running[-1])
+            or waiting[0] < (running[-1][0] - t, running[-1][1])
         ):
             work, job_id = heappop(waiting)
             if len(running) == inst.machines:
-                worst = running.pop()
-                heappush(waiting, (finish.pop(worst) - t, worst))
-            finish[job_id] = t + work
-            insort(running, job_id, key=rank)
-        yield t, running
+                end, worst = running.pop()
+                heappush(waiting, (end - t, worst))
+                stopped.append(worst)
+            insort(running, (t + work, job_id))
+            started.append(job_id)
+        yield t, running, stopped, started
         if not (running or pending):
             return
         # With nothing running the machines idle until the next arrival.
         t = min(
-            finish[running[0]] if running else math.inf,
+            running[0][0] if running else math.inf,
             pending[-1].arrival if pending else math.inf,
         )
-        while running and finish[running[0]] == t:
-            del finish[running.pop(0)]
 
 
 def select_srpt(inst: Instance) -> Iterator[Epoch]:
@@ -151,7 +152,7 @@ def select_srpt(inst: Instance) -> Iterator[Epoch]:
     entry: dict[int, tuple[int, int]] = {}
     ran: tuple[int, ...] = ()
     prev = 0
-    for t, running in _decisions(inst):
+    for t, running, _, _ in _decisions(inst):
         for job_id in ran:
             left = entry[job_id][1] - (t - prev)
             if left:
@@ -161,24 +162,22 @@ def select_srpt(inst: Instance) -> Iterator[Epoch]:
         while pending and pending[-1].arrival <= t:
             job = pending.pop()
             entry[job.id] = (job.id, job.processing)
-        ran, prev = tuple(running), t
+        ran, prev = tuple(map(itemgetter(1), running)), t
         yield Epoch(t, tuple(sorted(entry.values())), ran)
 
 
 def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
     """Put each epoch's running jobs on machines and merge the segments.
 
-    log holds (time, ..., running) items, as select_srpt's Epochs are, with
-    running in (remaining, id) order. The placement made at one epoch holds
-    until the next; the last epoch, where nothing runs, closes every segment.
-    Only jobs whose machine changes are touched: a job that leaves the
-    running set, or under reassign-all changes rank, closes its segment, and
-    a job that enters opens one.
+    log holds _decisions' items; the placement made at one epoch holds until
+    the next, and the last epoch stops every job. Sticky reads only stopped
+    and started; reassign-all re-ranks running only where either is non-empty
+    and reopens a segment only for a job whose rank changed.
     """
     sticky = Migration(migration) is Migration.STICKY
     free = list(range(1, inst.machines + 1))  # sticky: idle machines, a min-heap
     held: dict[int, tuple[int, int]] = {}  # running job -> (machine, start)
-    ranked: tuple[int, ...] = ()  # reassign-all: the last epoch's running
+    ranked: tuple[int, ...] = ()  # reassign-all: the last re-ranked running ids
     segments: list[Segment] = []
 
     def close(job_id: int, t: int) -> int:
@@ -186,22 +185,23 @@ def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
         segments.append(Segment(job_id, machine, start, t))
         return machine
 
-    for t, *_, running in log:
+    for t, running, stopped, started in log:
         if sticky:
-            for job_id in held.keys() - set(running):
+            for job_id in stopped:
                 heappush(free, close(job_id, t))
-            for job_id in filterfalse(held.__contains__, running):
+            for job_id in started:
                 held[job_id] = (heappop(free), t)
-        else:
+        elif stopped or started:
             # Job i of running sits on machine i; those at an unchanged rank
             # keep their segment.
-            kept = set(compress(running, map(eq, ranked, running)))
+            ids = tuple(map(itemgetter(1), running))
+            kept = set(compress(ids, map(eq, ranked, ids)))
             for job_id in held.keys() - kept:
                 close(job_id, t)
-            for machine, job_id in enumerate(running, 1):
+            for machine, job_id in enumerate(ids, 1):
                 if job_id not in held:
                     held[job_id] = (machine, t)
-            ranked = tuple(running)
+            ranked = ids
     return Schedule.from_segments(inst, segments)
 
 

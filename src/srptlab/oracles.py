@@ -254,36 +254,32 @@ def _witness(base: Instance, steps) -> Schedule:
     Within each interchangeable group the lowest job ids run first; within a
     step the running jobs occupy machines 1..k in job-id order.
     """
-    remaining = {job.id: job.processing for job in base.jobs}
-    release = {job.id: job.arrival for job in base.jobs}
-    unit_runs: list[tuple[int, int, int]] = []  # (time, machine, job)
+    # (release, remaining) -> sorted ids of the unfinished jobs in that group
+    group: dict[tuple[int, int], list[int]] = {}
+    for job in sorted(base.jobs, key=lambda j: j.id):
+        group.setdefault((job.arrival, job.processing), []).append(job.id)
+    runs: list[list[int]] = []  # [machine, job, start, end]
+    last: dict[int, list[int]] = {}  # machine -> its latest run, extended in place
     for t, picks in steps:
-        # Resolve every group against the pre-step snapshot before any
-        # decrement, so a job decremented into another group's (rel, rem)
-        # cannot be selected twice within the same step.
+        # Take every group's jobs from the pre-step index before moving any,
+        # so a job moved into another group's (rel, rem) cannot be selected
+        # twice within the same step.
+        taken = [(key, group[key][:take]) for key, take in picks]
         running: list[int] = []
-        for (rel, rem), take in picks:
-            matches = sorted(
-                jid
-                for jid, left in remaining.items()
-                if left == rem and release[jid] == rel
-            )
-            running.extend(matches[:take])
-        for jid in running:
-            remaining[jid] -= 1
-        for slot, jid in enumerate(sorted(running)):
-            unit_runs.append((t, slot + 1, jid))
-
-    merged: dict[tuple[int, int], list[list[int]]] = {}
-    for t, machine, jid in sorted(unit_runs):
-        spans = merged.setdefault((machine, jid), [])
-        if spans and spans[-1][1] == t:
-            spans[-1][1] = t + 1
-        else:
-            spans.append([t, t + 1])
-    segments = [
-        Segment(jid, machine, start, end)
-        for (machine, jid), spans in merged.items()
-        for start, end in spans
-    ]
+        for key, ids in taken:
+            del group[key][: len(ids)]
+            running += ids
+        for (rel, rem), ids in taken:
+            if rem > 1:
+                below = group.get((rel, rem - 1))
+                group[rel, rem - 1] = sorted(below + ids) if below else ids
+        running.sort()
+        for machine, jid in enumerate(running, 1):
+            run = last.get(machine)
+            if run and run[1] == jid and run[3] == t:
+                run[3] = t + 1
+            else:
+                last[machine] = run = [machine, jid, t, t + 1]
+                runs.append(run)
+    segments = [Segment(jid, machine, start, end) for machine, jid, start, end in runs]
     return Schedule.from_segments(base, segments)

@@ -1,4 +1,5 @@
-"""Shared hypothesis strategies for small scheduling instances."""
+"""Shared hypothesis strategies for small scheduling instances, and an
+adapter from the engine's snapshot log to its decision-loop items."""
 
 from hypothesis import strategies as st
 
@@ -19,3 +20,18 @@ def instances(draw, max_n=5, max_m=3, max_processing=4, max_arrival=4):
         for i in range(1, n + 1)
     )
     return Instance(jobs=jobs, machines=m)
+
+
+def loop_items(log):
+    """Turn select_srpt's Epoch log into the (time, running, stopped, started)
+    items engine.place consumes: running as (time + remaining, id) pairs, and
+    stopped/started as the set differences of consecutive running sets, with
+    started in running order. An independent route to place's input."""
+    before = ()
+    for epoch in log:
+        left = dict(epoch.remaining)
+        running = [(epoch.time + left[job_id], job_id) for job_id in epoch.running]
+        stopped = sorted(set(before) - set(epoch.running))
+        started = [job_id for job_id in epoch.running if job_id not in before]
+        yield epoch.time, running, stopped, started
+        before = epoch.running

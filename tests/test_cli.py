@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from srptlab import cli
 from srptlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
@@ -168,6 +169,21 @@ class TestOpt:
         assert "ignores releases" in err
         assert "makespan" not in out
 
+    @pytest.mark.parametrize("method", ["paper", "mcnaughton"])
+    @pytest.mark.parametrize(
+        "flag", ["--ceiling-jobs", "--ceiling-machines", "--ceiling-work"]
+    )
+    def test_ceiling_flags_need_brute(self, tmp_path, capsys, method, flag):
+        # Refused before the input is read: the instance file does not exist.
+        code, out, err = run(
+            "opt", "--method", method, flag, "9", "--in", str(tmp_path / "none.txt"),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "--method brute" in err
+        assert "makespan" not in out
+
 
 class TestVerify:
     def test_small_range_all_pass_exits_zero(self, capsys):
@@ -190,6 +206,22 @@ class TestVerify:
         assert table.read_text().startswith("theorem,n,policy,")
         disc = tmp_path / "report-discrepancies.txt"
         assert "T3.4" in disc.read_text()
+
+    def test_discrepancies_without_out_is_refused(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_all ran")
+
+        monkeypatch.setattr(cli, "verify_all", refuse)
+        disc = tmp_path / "d.txt"
+        code, out, err = run(
+            "verify-theorems", "--n-max", "2", "--discrepancies", str(disc),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "--out" in err
+        assert out == ""
+        assert not disc.exists()
 
 
 class TestSweep:

@@ -1,7 +1,7 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from _strategies import instances
+from _strategies import instances, loop_items
 from srptlab import (
     ClassId,
     ClassSpec,
@@ -102,7 +102,10 @@ class TestLazyTrace:
     def test_simulate_builds_no_snapshot(self, monkeypatch, spec):
         inst = generate(spec)
         log = list(select_srpt(inst))
-        expected = {cfg: place(inst, log, cfg.migration) for cfg in (REASSIGN, STICKY)}
+        expected = {
+            cfg: place(inst, loop_items(log), cfg.migration)
+            for cfg in (REASSIGN, STICKY)
+        }
 
         def refuse(*args, **kwargs):
             raise AssertionError("simulate_srpt built a snapshot")
@@ -114,6 +117,44 @@ class TestLazyTrace:
         for cfg, (schedule, trace) in results.items():
             assert schedule == expected[cfg]
             assert trace.epochs == tuple(select_srpt(inst))
+
+
+class _Unreadable:
+    """Stands in for the loop's running list where nothing may read it."""
+
+    def __iter__(self):
+        raise AssertionError("sticky placement read running")
+
+    __len__ = __iter__
+
+
+class TestDecisionDeltas:
+    @given(inst=instances(max_n=12, max_m=6, max_processing=6, max_arrival=10))
+    @settings(max_examples=300)
+    def test_stopped_and_started_are_the_snapshot_differences(self, inst):
+        before = set()
+        items = zip(engine._decisions(inst), select_srpt(inst), strict=True)
+        for (t, running, stopped, started), epoch in items:
+            now = set(epoch.running)
+            left = dict(epoch.remaining)
+            assert t == epoch.time
+            assert running == [(t + left[job_id], job_id) for job_id in epoch.running]
+            assert not set(stopped) & set(started)
+            assert sorted(stopped) == sorted(before - now)
+            assert sorted(started) == sorted(now - before)
+            assert started == sorted(started, key=lambda job_id: (left[job_id], job_id))
+            before = now
+
+    @given(inst=instances(max_n=12, max_m=6, max_processing=6, max_arrival=10))
+    @example(inst=generate(ClassSpec(ClassId.S5, n=16)))
+    @settings(max_examples=200)
+    def test_sticky_placement_never_reads_running(self, inst):
+        unreadable = (
+            (t, _Unreadable(), stopped, started)
+            for t, _, stopped, started in engine._decisions(inst)
+        )
+        schedule = place(inst, unreadable, Migration.STICKY)
+        assert schedule == simulate_srpt(inst, STICKY)[0]
 
 
 class TestRemainingProfile:

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from _strategies import instances
+from _strategies import instances, loop_items
 from srptlab import Migration, PolicyConfig, simulate_srpt
 from srptlab.analysis import measure
 from srptlab.engine import Epoch, place, select_srpt
@@ -62,7 +62,7 @@ def test_decision_loop_matches_reference_where_the_heaps_are_stressed(inst):
 @settings(max_examples=200)
 def test_both_placements_of_one_selection_complete_alike(inst):
     log = list(select_srpt(inst))
-    reassign, sticky = (place(inst, log, policy) for policy in Migration)
+    reassign, sticky = (place(inst, loop_items(log), policy) for policy in Migration)
     assert reassign.completion_times() == sticky.completion_times()
     for policy in Migration:
         _, trace = simulate_srpt(inst, PolicyConfig(migration=policy))
