@@ -21,7 +21,7 @@ from .files import (
     schedule_to_csv,
 )
 from .gantt import render_gantt
-from .model import Instance
+from .model import Instance, validate_schedule
 from .oracles import DEFAULT_CEILING, brute_force_opt, mcnaughton, zero_release_opt
 from .reports import discrepancy_report, emit_report, emit_sweep
 from .workloads import ClassId, ClassSpec, generate
@@ -103,14 +103,24 @@ def _write_or_print(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
+def _checked_dump(schedule) -> str:
+    """The schedule's CSV dump; an invalid schedule is rejected with its
+    violation list, as render_gantt rejects it."""
+    violations = validate_schedule(schedule)
+    if violations:
+        raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
+    return schedule_to_csv(schedule)
+
+
 def _cmd_simulate(args) -> int:
     if args.gantt == "svg" and not args.out:
         raise _UsageError("--gantt svg needs --out PATH")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
+    dump = _checked_dump(schedule) if args.dump else None
     print(f"makespan {schedule.makespan}")
-    if args.dump:
-        Path(args.dump).write_text(schedule_to_csv(schedule), encoding="utf-8")
+    if dump is not None:
+        Path(args.dump).write_text(dump, encoding="utf-8")
     if args.gantt:
         _write_or_print(render_gantt(schedule, args.gantt), args.out)
     return 0
@@ -142,9 +152,10 @@ def _cmd_opt(args) -> int:
     else:
         ceiling = replace(DEFAULT_CEILING, **bounds)
         result = brute_force_opt(inst, args.respect_releases, ceiling)
+    dump = _checked_dump(result.schedule) if args.dump else None
     print(f"{result.method.value} makespan {result.makespan}")
-    if args.dump:
-        Path(args.dump).write_text(schedule_to_csv(result.schedule), encoding="utf-8")
+    if dump is not None:
+        Path(args.dump).write_text(dump, encoding="utf-8")
     return 0
 
 

@@ -182,8 +182,7 @@ def schedule_to_csv(s: Schedule) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SCHEDULE_COLUMNS)
-    for seg in s.segments:
-        writer.writerow((seg.job_id, seg.machine, seg.start, seg.end))
+    writer.writerows(s.segments)
     return buf.getvalue()
 
 

@@ -79,24 +79,23 @@ def render_svg(s: Schedule) -> str:
         f' width="{width}" height="{height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
     ]
-    for m in range(1, m_count + 1):
-        y = SVG_TOP + (m - 1) * (SVG_ROW + SVG_GAP)
+    rows = [SVG_TOP + m * (SVG_ROW + SVG_GAP) for m in range(m_count)]
+    for m, y in enumerate(rows, start=1):
         out.append(
             f'<text x="8" y="{y + SVG_ROW - 8}" font-family="monospace"'
             f' font-size="14">P{m}</text>'
         )
-    for seg in s.segments:
-        x = SVG_LEFT + seg.start * SVG_UNIT
-        y = SVG_TOP + (seg.machine - 1) * (SVG_ROW + SVG_GAP)
-        w = seg.length * SVG_UNIT
-        fill = SVG_PALETTE[(seg.job_id - 1) % len(SVG_PALETTE)]
+    # One string per segment: its rect and its label, joined like two lines.
+    for job_id, machine, start, end in s.segments:
+        x = SVG_LEFT + start * SVG_UNIT
+        y = rows[machine - 1]
+        w = (end - start) * SVG_UNIT
+        fill = SVG_PALETTE[(job_id - 1) % len(SVG_PALETTE)]
         out.append(
             f'<rect x="{x}" y="{y}" width="{w}" height="{SVG_ROW}"'
-            f' fill="{fill}" stroke="black"/>'
-        )
-        out.append(
+            f' fill="{fill}" stroke="black"/>\n'
             f'<text x="{x + w // 2}" y="{y + SVG_ROW - 8}" font-family="monospace"'
-            f' font-size="12" text-anchor="middle">J{seg.job_id}</text>'
+            f' font-size="12" text-anchor="middle">J{job_id}</text>'
         )
     axis_y = SVG_TOP + m_count * (SVG_ROW + SVG_GAP) + 8
     out.append(

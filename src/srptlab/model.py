@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
+from operator import attrgetter
+from typing import NamedTuple
 
 # Competitive ratios are exact ratios of integers; Fraction already stores
 # lowest terms with a positive denominator, which is the whole contract.
@@ -99,30 +100,49 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One contiguous run of a job on one machine over [start, end)."""
-
+class _SegmentFields(NamedTuple):
     job_id: int
     machine: int
     start: int
     end: int
 
-    def __post_init__(self) -> None:
-        if self.job_id < 1:
-            raise ValueError(f"segment job id must be >= 1, got {self.job_id}")
-        if self.machine < 1:
-            raise ValueError(f"segment machine must be >= 1, got {self.machine}")
-        if self.start < 0:
-            raise ValueError(f"segment start must be >= 0, got {self.start}")
-        if not self.start < self.end:
-            raise ValueError(
-                f"segment must satisfy start < end, got [{self.start},{self.end})"
-            )
+
+class Segment(_SegmentFields):
+    """One contiguous run of a job on one machine over [start, end).
+
+    An immutable named tuple: it compares and hashes by its four fields, so
+    it also equals the plain tuple (job_id, machine, start, end).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, job_id: int, machine: int, start: int, end: int) -> Segment:
+        if job_id < 1:
+            raise ValueError(f"segment job id must be >= 1, got {job_id}")
+        if machine < 1:
+            raise ValueError(f"segment machine must be >= 1, got {machine}")
+        if start < 0:
+            raise ValueError(f"segment start must be >= 0, got {start}")
+        if not start < end:
+            raise ValueError(f"segment must satisfy start < end, got [{start},{end})")
+        return tuple.__new__(cls, (job_id, machine, start, end))
+
+    @classmethod
+    def _make(cls, iterable) -> Segment:
+        # namedtuple's _make, and _replace through it, would skip the checks.
+        return cls(*iterable)
 
     @property
     def length(self) -> int:
         return self.end - self.start
+
+
+# Sort keys: Schedule.from_segments' segment order, the scan order of the
+# machine and job overlap checks, and the order of release messages.
+_SCHEDULE_ORDER = attrgetter("machine", "start", "job_id")
+_MACHINE_SCAN = attrgetter("start", "end", "job_id")
+_JOB_SCAN = attrgetter("start", "end", "machine")
+_RELEASE_ORDER = attrgetter("job_id", "start")
 
 
 @dataclass(frozen=True)
@@ -144,7 +164,7 @@ class Schedule:
     def from_segments(cls, instance: Instance, segments) -> Schedule:
         """Build a schedule with segments in (machine, start) order and the
         makespan derived from the latest segment end."""
-        ordered = tuple(sorted(segments, key=lambda s: (s.machine, s.start, s.job_id)))
+        ordered = tuple(sorted(segments, key=_SCHEDULE_ORDER))
         makespan = max((s.end for s in ordered), default=0)
         return cls(instance=instance, segments=ordered, makespan=makespan)
 
@@ -159,9 +179,12 @@ class Schedule:
 def _overlaps(segs: list[Segment]):
     """Yield (a, b, (lo, hi)) for every overlapping pair of segs, which must
     be sorted by start. The scan from a stops at the first b starting at or
-    after a's end: every later segment starts later still."""
+    after a's end: every later segment starts later still, and every b before
+    it overlaps a. So a group costs O(len(segs) + pairs yielded)."""
+    count = len(segs)
     for i, a in enumerate(segs):
-        for b in islice(segs, i + 1, None):
+        for j in range(i + 1, count):
+            b = segs[j]
             if b.start >= a.end:
                 break
             yield a, b, (b.start, min(a.end, b.end))
@@ -173,23 +196,26 @@ def validate_schedule(s: Schedule) -> list[str]:
     An empty list means the schedule is valid. Checked, in order: segment
     references (job exists, machine in range), makespan consistency, work
     conservation per job, machine overlaps, a job running on two machines
-    at once, and release respect.
+    at once, and release respect. Costs O(S log S) for S segments, plus one
+    step per violation reported.
     """
     violations: list[str] = []
+    machines = s.instance.machines
     arrival = {job.id: job.arrival for job in s.instance.jobs}
     by_machine: dict[int, list[Segment]] = {}
     by_job: dict[int, list[Segment]] = {}
+    early: list[Segment] = []
     for seg in s.segments:
         by_machine.setdefault(seg.machine, []).append(seg)
         by_job.setdefault(seg.job_id, []).append(seg)
-
-    for seg in s.segments:
         if seg.job_id not in arrival:
             violations.append(f"segment references unknown job {seg.job_id}")
-        if seg.machine > s.instance.machines:
+        elif seg.start < arrival[seg.job_id]:
+            early.append(seg)
+        if seg.machine > machines:
             violations.append(
                 f"segment on machine {seg.machine} but instance has"
-                f" {s.instance.machines} machines"
+                f" {machines} machines"
             )
 
     latest = max((seg.end for seg in s.segments), default=0)
@@ -197,28 +223,27 @@ def validate_schedule(s: Schedule) -> list[str]:
         violations.append(f"makespan {s.makespan} != latest segment end {latest}")
 
     for job in s.instance.jobs:
-        got = sum(seg.length for seg in by_job.get(job.id, ()))
+        got = sum(seg.end - seg.start for seg in by_job.get(job.id, ()))
         if got != job.processing:
             violations.append(f"job {job.id} received {got} of {job.processing} units")
 
     for machine in sorted(by_machine):
-        segs = sorted(by_machine[machine], key=lambda x: (x.start, x.end, x.job_id))
+        segs = sorted(by_machine[machine], key=_MACHINE_SCAN)
         for _, _, (lo, hi) in _overlaps(segs):
             violations.append(f"machine {machine} overlap on [{lo},{hi})")
 
     for job_id in sorted(by_job):
-        segs = sorted(by_job[job_id], key=lambda x: (x.start, x.end, x.machine))
+        segs = sorted(by_job[job_id], key=_JOB_SCAN)
         for a, b, (lo, hi) in _overlaps(segs):
             violations.append(
                 f"job {job_id} runs on machines {a.machine} and {b.machine}"
                 f" simultaneously on [{lo},{hi})"
             )
 
-    for seg in sorted(s.segments, key=lambda x: (x.job_id, x.start)):
-        if seg.job_id in arrival and seg.start < arrival[seg.job_id]:
-            violations.append(
-                f"job {seg.job_id} starts at {seg.start} before arrival"
-                f" {arrival[seg.job_id]}"
-            )
+    for seg in sorted(early, key=_RELEASE_ORDER):
+        violations.append(
+            f"job {seg.job_id} starts at {seg.start} before arrival"
+            f" {arrival[seg.job_id]}"
+        )
 
     return violations

@@ -5,8 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from srptlab import cli
+from srptlab import Schedule, Segment, cli
 from srptlab.cli import main
+from srptlab.oracles import OptMethod, OptResult
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -16,6 +17,12 @@ def run(*argv, capsys=None):
     code = main(list(argv))
     out, err = capsys.readouterr() if capsys else ("", "")
     return code, out, err
+
+
+def _broken_schedule(inst):
+    """Job 1 on machine 1 for one unit too long: a work-conservation breach."""
+    job = inst.jobs[0]
+    return Schedule.from_segments(inst, [Segment(job.id, 1, 0, job.processing + 1)])
 
 
 class TestSimulate:
@@ -51,6 +58,21 @@ class TestSimulate:
         assert code == 0
         assert dump.read_text().startswith("job,machine,start,end")
         assert svg.read_bytes().startswith(b"<svg ")
+
+    def test_invalid_schedule_is_not_dumped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli, "simulate_srpt", lambda inst, cfg: (_broken_schedule(inst), None)
+        )
+        dump = tmp_path / "sched.csv"
+        code, out, err = run(
+            "simulate", "--class", "S1", "--n", "2", "--m", "2", "--dump", str(dump),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "cannot dump an invalid schedule" in err
+        assert "job 1 received 3 of 2 units" in err
+        assert out == ""
+        assert not dump.exists()
 
     def test_svg_to_stdout_is_usage_error(self, capsys):
         code, _, err = run(
@@ -154,6 +176,24 @@ class TestOpt:
         assert code == 1
         assert "witness" in err
         assert "makespan" not in out
+        assert not dump.exists()
+
+    def test_invalid_witness_is_not_dumped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            cli,
+            "zero_release_opt",
+            lambda inst: OptResult(2, OptMethod.PAPER_OPT, _broken_schedule(inst)),
+        )
+        dump = tmp_path / "w.csv"
+        code, out, err = run(
+            "opt", "--method", "paper", "--class", "S1", "--n", "2", "--m", "2",
+            "--dump", str(dump),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "cannot dump an invalid schedule" in err
+        assert "job 1 received 3 of 2 units" in err
+        assert out == ""
         assert not dump.exists()
 
     @pytest.mark.parametrize("method", ["paper", "mcnaughton"])

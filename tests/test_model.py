@@ -111,6 +111,65 @@ class TestSegment:
     def test_length(self):
         assert Segment(1, 1, 2, 5).length == 3
 
+    def test_repr_names_every_field(self):
+        assert repr(Segment(3, 2, 4, 9)) == "Segment(job_id=3, machine=2, start=4, end=9)"
+
+    @pytest.mark.parametrize("field", ["job_id", "machine", "start", "end", "length"])
+    def test_fields_cannot_be_assigned(self, field):
+        seg = Segment(1, 1, 0, 2)
+        with pytest.raises(AttributeError):
+            setattr(seg, field, 5)
+        assert seg == Segment(1, 1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 1, 0, 2), "segment job id must be >= 1, got 0"),
+            ((1, 0, 0, 2), "segment machine must be >= 1, got 0"),
+            ((1, 1, -1, 2), "segment start must be >= 0, got -1"),
+            ((1, 1, 2, 2), "segment must satisfy start < end, got [2,2)"),
+        ],
+    )
+    def test_each_check_has_its_message(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            Segment(*fields)
+        assert str(exc.value) == message
+
+    def test_every_constructor_runs_the_checks(self):
+        assert Segment(job_id=1, machine=2, start=0, end=3) == Segment(1, 2, 0, 3)
+        with pytest.raises(ValueError):
+            Segment(job_id=1, machine=2, start=3, end=3)
+        with pytest.raises(ValueError):
+            Segment._make((1, 2, 3, 3))
+        with pytest.raises(ValueError):
+            Segment(1, 2, 0, 3)._replace(start=3)
+        assert Segment(1, 2, 0, 3)._replace(end=4) == Segment(1, 2, 0, 4)
+
+    def test_equal_fields_compare_and_hash_equal(self):
+        a, b = Segment(2, 1, 3, 5), Segment(2, 1, 3, 5)
+        assert a == b and hash(a) == hash(b)
+        assert a == (2, 1, 3, 5)
+        assert len({a, b}) == 1
+        assert a != Segment(2, 1, 3, 6)
+
+    def test_from_segments_orders_by_machine_start_job(self):
+        inst = Instance(jobs=tuple(Job(i, 0, 9) for i in range(1, 5)), machines=2)
+        given_order = [
+            Segment(4, 2, 0, 1),
+            Segment(3, 1, 5, 6),
+            Segment(2, 1, 0, 1),
+            Segment(1, 1, 0, 1),
+            Segment(1, 2, 3, 4),
+        ]
+        s = Schedule.from_segments(inst, given_order)
+        assert s.segments == (
+            Segment(1, 1, 0, 1),
+            Segment(2, 1, 0, 1),
+            Segment(3, 1, 5, 6),
+            Segment(4, 2, 0, 1),
+            Segment(1, 2, 3, 4),
+        )
+
 
 def _one_job_instance():
     return Instance(jobs=(Job(1, 0, 2),), machines=1)
