@@ -1,13 +1,14 @@
 """Command-line surface.
 
 Subcommands: simulate, opt, sweep, verify-theorems, render.
-Exit codes: 0 success / all PASS, 1 usage or input error, 2 a verification
-run completed with at least one MISMATCH.
+Exit codes: 0 success / all PASS, 1 usage or input error or a closed output
+pipe, 2 a verification run completed with at least one MISMATCH.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -317,9 +318,16 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # The reader went away (say, `| head`). Point stdout at devnull so the
+        # flush at shutdown cannot raise again, and exit 1 without a message.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

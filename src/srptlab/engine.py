@@ -32,7 +32,6 @@ what it reads.
 
 from __future__ import annotations
 
-import math
 from bisect import insort
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -96,6 +95,14 @@ class EngineTrace:
         return tuple(e.time for e in self.epochs)
 
 
+def _arrival_order(inst: Instance) -> list[tuple[int, int, int]]:
+    """(arrival, id, processing) per job, latest arrival first, so the next
+    arrival pops off the end."""
+    return sorted(
+        [(arrival, job_id, work) for job_id, arrival, work in inst.jobs], reverse=True
+    )
+
+
 def _decisions(inst: Instance) -> Iterator[tuple[int, list, list[int], list[int]]]:
     """The SRPT decision loop: yield (time, running, stopped, started) once
     per epoch, the last one at the makespan with nothing running.
@@ -105,48 +112,52 @@ def _decisions(inst: Instance) -> Iterator[tuple[int, list, list[int], list[int]
     stopped (completed or preempted here) and started (admitted here, in
     (remaining, id) order) are fresh, disjoint lists of job ids.
     """
-    pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
+    pending = _arrival_order(inst)
+    machines = inst.machines
     waiting: list[tuple[int, int]] = []  # heap of (remaining, id)
     running: list[tuple[int, int]] = []  # (completion if not preempted, id)
-    t = pending[-1].arrival
+    t = pending[-1][0]
     while True:
         stopped, started = [], []
         while running and running[0][0] == t:
             stopped.append(running.pop(0)[1])
-        while pending and pending[-1].arrival <= t:
-            job = pending.pop()
-            heappush(waiting, (job.processing, job.id))
+        while pending and pending[-1][0] <= t:
+            _, job_id, work = pending.pop()
+            heappush(waiting, (work, job_id))
         # Running jobs all lose work at the same rate, so their order holds
         # and they stay ahead of every waiting job: only arrivals preempt.
         # Admissions leave the heap in increasing order and each preempted
         # job ranks above the one that displaced it, so no job both stops
         # and starts at one instant.
         while waiting and (
-            len(running) < inst.machines
+            len(running) < machines
             or waiting[0] < (running[-1][0] - t, running[-1][1])
         ):
             work, job_id = heappop(waiting)
-            if len(running) == inst.machines:
+            if len(running) == machines:
                 end, worst = running.pop()
                 heappush(waiting, (end - t, worst))
                 stopped.append(worst)
             insort(running, (t + work, job_id))
             started.append(job_id)
         yield t, running, stopped, started
-        if not (running or pending):
+        # The next epoch is the earlier of the next completion and the next
+        # arrival; with nothing running the machines idle until the arrival.
+        if running:
+            t = running[0][0]
+            if pending and pending[-1][0] < t:
+                t = pending[-1][0]
+        elif pending:
+            t = pending[-1][0]
+        else:
             return
-        # With nothing running the machines idle until the next arrival.
-        t = min(
-            running[0][0] if running else math.inf,
-            pending[-1].arrival if pending else math.inf,
-        )
 
 
 def select_srpt(inst: Instance) -> Iterator[Epoch]:
     """The decision log with snapshots: one Epoch per decision point, the
     last one at the makespan. It replays the remaining work of every released
     job over _decisions; the choice of who runs is made there alone."""
-    pending = sorted(inst.jobs, key=lambda j: (j.arrival, j.id), reverse=True)
+    pending = _arrival_order(inst)
     # (id, remaining) per released, unfinished job; a waiting job's entry is
     # shared by consecutive snapshots.
     entry: dict[int, tuple[int, int]] = {}
@@ -159,9 +170,9 @@ def select_srpt(inst: Instance) -> Iterator[Epoch]:
                 entry[job_id] = (job_id, left)
             else:
                 del entry[job_id]
-        while pending and pending[-1].arrival <= t:
-            job = pending.pop()
-            entry[job.id] = (job.id, job.processing)
+        while pending and pending[-1][0] <= t:
+            _, job_id, work = pending.pop()
+            entry[job_id] = (job_id, work)
         ran, prev = tuple(map(itemgetter(1), running)), t
         yield Epoch(t, tuple(sorted(entry.values())), ran)
 

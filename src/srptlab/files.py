@@ -19,8 +19,6 @@ from __future__ import annotations
 import csv
 import io
 
-import yaml
-
 from .model import Instance, Job, Schedule, Segment
 from .workloads import ClassSpec
 
@@ -62,6 +60,9 @@ def parse_instance(text: str, enforce_constraints: bool = True):
     Explicit instances are constraint-checked unless enforcement is off;
     class stanzas are returned as specs (generate and check separately).
     """
+    # Imported here so that commands which read no instance file skip it.
+    import yaml
+
     try:
         doc = yaml.safe_load(text)
     except yaml.MarkedYAMLError as exc:
@@ -161,18 +162,6 @@ def _parse_job_list(doc: dict) -> Instance:
         return Instance(jobs=tuple(jobs), machines=machines)
     except ValueError as exc:
         raise ParseError(str(exc))
-
-
-def serialize_instance(inst: Instance) -> str:
-    """Deterministic YAML for an explicit instance; parse round-trips."""
-    doc = {
-        "machines": inst.machines,
-        "jobs": [
-            {"id": j.id, "arrival": j.arrival, "processing": j.processing}
-            for j in inst.jobs
-        ],
-    }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 SCHEDULE_COLUMNS = ("job", "machine", "start", "end")

@@ -24,23 +24,34 @@ def rational_of(numer: int, denom: int) -> Rational:
     return Fraction(numer, denom)
 
 
-@dataclass(frozen=True)
-class Job:
-    """One job: 1-based id, release instant, and integral processing time."""
-
+class _JobFields(NamedTuple):
     id: int
     arrival: int
     processing: int
 
-    def __post_init__(self) -> None:
-        if self.id < 1:
-            raise ValueError(f"job id must be >= 1, got {self.id}")
-        if self.arrival < 0:
-            raise ValueError(f"job {self.id}: arrival must be >= 0, got {self.arrival}")
-        if self.processing < 1:
-            raise ValueError(
-                f"job {self.id}: processing must be >= 1, got {self.processing}"
-            )
+
+class Job(_JobFields):
+    """One job: 1-based id, release instant, and integral processing time.
+
+    An immutable named tuple: it compares and hashes by its three fields, so
+    it also equals the plain tuple (id, arrival, processing).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, id: int, arrival: int, processing: int) -> Job:
+        if id < 1:
+            raise ValueError(f"job id must be >= 1, got {id}")
+        if arrival < 0:
+            raise ValueError(f"job {id}: arrival must be >= 0, got {arrival}")
+        if processing < 1:
+            raise ValueError(f"job {id}: processing must be >= 1, got {processing}")
+        return tuple.__new__(cls, (id, arrival, processing))
+
+    @classmethod
+    def _make(cls, iterable) -> Job:
+        # namedtuple's _make, and _replace through it, would skip the checks.
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -66,12 +77,6 @@ class Instance:
     def job_count(self) -> int:
         return len(self.jobs)
 
-    def job(self, job_id: int) -> Job:
-        for job in self.jobs:
-            if job.id == job_id:
-                return job
-        raise KeyError(f"no job with id {job_id}")
-
     def constraint_violations(self) -> list[str]:
         """Breaches of the model constraints n >= m and min processing >= m."""
         out = []
@@ -87,10 +92,6 @@ class Instance:
                 " (model requires t >= m)"
             )
         return out
-
-    @property
-    def meets_constraints(self) -> bool:
-        return not self.constraint_violations()
 
     def with_zero_releases(self) -> Instance:
         """Offline copy of the instance: every arrival treated as zero."""

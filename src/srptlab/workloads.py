@@ -103,8 +103,5 @@ def generate(spec: ClassSpec) -> Instance:
     Pure: equal ClassSpec values generate equal instances.
     """
     processing = spec.processing
-    jobs = tuple(
-        Job(id=i, arrival=i - 1, processing=processing)
-        for i in range(1, spec.job_count + 1)
-    )
+    jobs = tuple(Job(i, i - 1, processing) for i in range(1, spec.job_count + 1))
     return Instance(jobs=jobs, machines=spec.machines)

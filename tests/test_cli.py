@@ -346,14 +346,49 @@ class TestUsageAndErrors:
         assert "error" in err
 
 
-def test_module_entry_point():
+def _child_env() -> dict:
     # The child interpreter does not inherit pytest's pythonpath setting.
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "srptlab", "--help"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=_child_env(),
     )
     assert proc.returncode == 0
     assert "verify-theorems" in proc.stdout
+
+
+def test_cli_import_loads_no_yaml():
+    # YAML is parsed only when an instance file is read.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, srptlab.cli; assert 'yaml' not in sys.modules"],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+
+
+def test_closed_stdout_pipe_exits_quietly():
+    # The text verdicts plus the discrepancy report are far larger than a pipe
+    # buffer, so the child is still writing when the reader goes away.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "srptlab", "verify-theorems", "--format", "text"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=_child_env(),
+    )
+    try:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert err == b""

@@ -1,4 +1,5 @@
 import pytest
+import yaml
 from hypothesis import given, settings
 
 from _strategies import instances
@@ -10,8 +11,19 @@ from srptlab.files import (
     parse_instance,
     schedule_from_csv,
     schedule_to_csv,
-    serialize_instance,
 )
+
+
+def serialize_instance(inst: Instance) -> str:
+    """Deterministic YAML for an explicit instance; parse round-trips."""
+    doc = {
+        "machines": inst.machines,
+        "jobs": [
+            {"id": j.id, "arrival": j.arrival, "processing": j.processing}
+            for j in inst.jobs
+        ],
+    }
+    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=None)
 
 
 class TestParseClassStanza:
@@ -66,7 +78,7 @@ class TestParseJobList:
             "  - {id: 2, arrival: 1, processing: 2}\n"
             "  - {id: 1, arrival: 0, processing: 2}\n"
         )
-        assert inst.job(1).arrival == 0
+        assert {job.id: job for job in inst.jobs}[1].arrival == 0
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ParseError):
@@ -159,7 +171,7 @@ class TestScheduleDump:
         text = "job,machine,start,end\n1,1,0,2\n2,2,1,3\n"
         schedule = schedule_from_csv(text)
         assert schedule.instance.machines == 2
-        assert schedule.instance.job(2) == Job(2, 1, 2)
+        assert {job.id: job for job in schedule.instance.jobs}[2] == Job(2, 1, 2)
         assert schedule.makespan == 3
 
     def test_missing_job_segments_cannot_infer(self):

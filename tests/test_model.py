@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -76,12 +77,11 @@ class TestJobAndInstance:
 
     def test_ids_may_be_listed_in_any_order(self):
         inst = Instance(jobs=(Job(2, 1, 3), Job(1, 0, 3)), machines=1)
-        assert inst.job(1).arrival == 0
+        assert {job.id: job for job in inst.jobs}[1].arrival == 0
 
     def test_constraint_violations(self):
         ok = Instance(jobs=(Job(1, 0, 2), Job(2, 0, 2)), machines=2)
         assert ok.constraint_violations() == []
-        assert ok.meets_constraints
 
         few_jobs = Instance(jobs=(Job(1, 0, 3),), machines=2)
         assert any("n >= m" in v for v in few_jobs.constraint_violations())
@@ -99,6 +99,63 @@ class TestJobAndInstance:
         job = Job(1, 0, 2)
         with pytest.raises(AttributeError):
             job.processing = 5
+
+
+class TestJob:
+    def test_repr_names_every_field(self):
+        assert repr(Job(1, 0, 3)) == "Job(id=1, arrival=0, processing=3)"
+
+    def test_keyword_and_positional_construction_agree(self):
+        job = Job(id=2, arrival=5, processing=7)
+        assert job == Job(2, 5, 7)
+        assert (job.id, job.arrival, job.processing) == (2, 5, 7)
+
+    @pytest.mark.parametrize("field", ["id", "arrival", "processing"])
+    def test_fields_cannot_be_assigned(self, field):
+        job = Job(1, 0, 2)
+        with pytest.raises(AttributeError):
+            setattr(job, field, 5)
+        assert job == Job(1, 0, 2)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 0, 1), "job id must be >= 1, got 0"),
+            ((1, -1, 1), "job 1: arrival must be >= 0, got -1"),
+            ((1, 0, 0), "job 1: processing must be >= 1, got 0"),
+        ],
+    )
+    def test_each_check_has_its_message(self, fields, message):
+        with pytest.raises(ValueError) as exc:
+            Job(*fields)
+        assert str(exc.value) == message
+
+    def test_every_constructor_runs_the_checks(self):
+        with pytest.raises(ValueError):
+            Job(id=1, arrival=0, processing=0)
+        with pytest.raises(ValueError):
+            Job._make((1, 0, 0))
+        with pytest.raises(ValueError):
+            Job(1, 0, 2)._replace(arrival=-1)
+        assert Job._make((1, 0, 2)) == Job(1, 0, 2)
+        assert Job(1, 0, 2)._replace(processing=4) == Job(1, 0, 4)
+
+    def test_equal_fields_compare_and_hash_equal(self):
+        a, b = Job(2, 1, 3), Job(2, 1, 3)
+        assert a == b and hash(a) == hash(b)
+        assert a == (2, 1, 3) and hash(a) == hash((2, 1, 3))
+        assert len({a, b}) == 1
+        assert a != Job(2, 1, 4)
+
+    def test_pickle_round_trip(self):
+        job = Job(3, 2, 5)
+        again = pickle.loads(pickle.dumps(job))
+        assert again == job and type(again) is Job
+        assert repr(again) == repr(job)
+
+    def test_instance_refuses_a_plain_tuple(self):
+        with pytest.raises(AttributeError):
+            Instance(jobs=((1, 0, 2),), machines=1)
 
 
 class TestSegment:

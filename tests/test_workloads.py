@@ -64,7 +64,7 @@ class TestGenerate:
             ClassSpec(ClassId.PARAMETRIC, n=1, m=1, processing_override=1)
         )
         assert inst.job_count == 1
-        assert inst.jobs[0] == inst.job(1)
+        assert inst.jobs[0].id == 1
         assert inst.jobs[0].processing == 1
 
 
@@ -121,4 +121,4 @@ def test_theorem_default_specs_meet_model_constraints(n):
         ClassSpec(ClassId.S5, n=n),
     ]
     for spec in specs:
-        assert generate(spec).meets_constraints, spec
+        assert generate(spec).constraint_violations() == [], spec
