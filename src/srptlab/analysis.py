@@ -21,7 +21,6 @@ Known outcomes the discrepancy report (reports.py) documents rather than hides:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable
 
 from .engine import Migration, _decisions
@@ -56,7 +55,6 @@ class TheoremSpec:
     claimed_srpt: Callable[[int], int]
     claimed_opt: Callable[[int], int]
     interpretations: tuple[S3Interpretation | None, ...] = (None,)
-    bound: Fraction | None = None
 
     def claimed_cr(self, n: int) -> Rational:
         return rational_of(self.claimed_srpt(n), self.claimed_opt(n))
@@ -80,7 +78,6 @@ THEOREMS: tuple[TheoremSpec, ...] = (
         applicable=lambda n: n >= 2 and n % 2 == 0,
         claimed_srpt=lambda n: n * (n + 1) // 2,
         claimed_opt=lambda n: n * n // 2,
-        bound=Fraction(3, 2),
     ),
     TheoremSpec(
         theorem_id="T3.2",

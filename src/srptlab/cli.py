@@ -25,7 +25,7 @@ from .gantt import render_gantt
 from .model import Instance, validate_schedule
 from .oracles import DEFAULT_CEILING, brute_force_opt, mcnaughton, zero_release_opt
 from .reports import discrepancy_report, emit_report, emit_sweep
-from .workloads import ClassId, ClassSpec, generate
+from .workloads import ClassId, ClassSpec, S3Interpretation, generate
 
 
 class _UsageError(Exception):
@@ -37,7 +37,18 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_input_options(sub, with_policy: bool = True) -> None:
+def _add_family_options(sub) -> None:
+    sub.add_argument(
+        "--s3-interpretation",
+        choices=[i.value for i in S3Interpretation],
+        help="processing-time reading for class S3 (default literal-2n)",
+    )
+    sub.add_argument(
+        "--processing-override", type=int, help="job length for the parametric class"
+    )
+
+
+def _add_input_options(sub) -> None:
     grp = sub.add_argument_group("input (give exactly one of --in / --class)")
     grp.add_argument("--in", dest="in_path", metavar="FILE", help="instance file")
     grp.add_argument(
@@ -48,50 +59,40 @@ def _add_input_options(sub, with_policy: bool = True) -> None:
     )
     grp.add_argument("--n", type=int, help="family size parameter")
     grp.add_argument("--m", type=int, help="machine count (family default: m = n)")
-    grp.add_argument(
-        "--s3-interpretation",
-        choices=["literal-2n", "theorem-n-plus-2"],
-        help="processing-time reading for class S3 (default literal-2n)",
-    )
-    grp.add_argument(
-        "--processing-override", type=int, help="job length for the parametric class"
-    )
+    _add_family_options(grp)
     sub.add_argument(
         "--no-enforce-constraints",
         action="store_true",
         help="accept instances violating n >= m or min processing >= m",
     )
-    if with_policy:
-        sub.add_argument(
-            "--policy",
-            choices=[p.value for p in Migration],
-            default=Migration.REASSIGN_ALL.value,
-            help="machine placement at decision epochs (default reassign-all)",
-        )
+
+
+def _family_spec(args, n: int, m: int | None) -> ClassSpec:
+    return ClassSpec(
+        class_id=args.class_id,
+        n=n,
+        m=m,
+        processing_override=args.processing_override,
+        s3_interpretation=args.s3_interpretation,
+    )
 
 
 def _load_instance(args) -> Instance:
     if bool(args.in_path) == bool(args.class_id):
         raise _UsageError("give exactly one of --in FILE or --class NAME")
     if args.in_path:
-        parsed = parse_instance(
-            Path(args.in_path).read_text(encoding="utf-8"),
-            enforce_constraints=not args.no_enforce_constraints,
-        )
-        if isinstance(parsed, Instance):
-            return parsed
-        inst = generate(parsed)
+        given = [
+            "--" + dest.replace("_", "-")
+            for dest in ("n", "m", "s3_interpretation", "processing_override")
+            if getattr(args, dest) is not None
+        ]
+        if given:
+            raise _UsageError(f"{', '.join(given)}: family flags need --class")
+        inst = parse_instance(Path(args.in_path).read_text(encoding="utf-8"))
     else:
         if args.n is None:
             raise _UsageError("--class needs --n")
-        spec = ClassSpec(
-            class_id=args.class_id,
-            n=args.n,
-            m=args.m,
-            processing_override=args.processing_override,
-            s3_interpretation=args.s3_interpretation,
-        )
-        inst = generate(spec)
+        inst = generate(_family_spec(args, args.n, args.m))
     if not args.no_enforce_constraints:
         check_constraints(inst)
     return inst
@@ -104,13 +105,16 @@ def _write_or_print(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _checked_dump(schedule) -> str:
-    """The schedule's CSV dump; an invalid schedule is rejected with its
-    violation list, as render_gantt rejects it."""
-    violations = validate_schedule(schedule)
+def _print_and_dump(line: str, schedule, path: str | None) -> None:
+    """Print line, then write the schedule's CSV dump to path if one is given.
+    An invalid schedule is rejected with its violation list before anything
+    is printed, as render_gantt rejects it."""
+    violations = validate_schedule(schedule) if path else []
     if violations:
         raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
-    return schedule_to_csv(schedule)
+    print(line)
+    if path:
+        Path(path).write_text(schedule_to_csv(schedule), encoding="utf-8")
 
 
 def _cmd_simulate(args) -> int:
@@ -118,10 +122,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--gantt svg needs --out PATH")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
-    dump = _checked_dump(schedule) if args.dump else None
-    print(f"makespan {schedule.makespan}")
-    if dump is not None:
-        Path(args.dump).write_text(dump, encoding="utf-8")
+    _print_and_dump(f"makespan {schedule.makespan}", schedule, args.dump)
     if args.gantt:
         _write_or_print(render_gantt(schedule, args.gantt), args.out)
     return 0
@@ -153,10 +154,9 @@ def _cmd_opt(args) -> int:
     else:
         ceiling = replace(DEFAULT_CEILING, **bounds)
         result = brute_force_opt(inst, args.respect_releases, ceiling)
-    dump = _checked_dump(result.schedule) if args.dump else None
-    print(f"{result.method.value} makespan {result.makespan}")
-    if dump is not None:
-        Path(args.dump).write_text(dump, encoding="utf-8")
+    _print_and_dump(
+        f"{result.method.value} makespan {result.makespan}", result.schedule, args.dump
+    )
     return 0
 
 
@@ -165,15 +165,8 @@ def _cmd_sweep(args) -> int:
         raise _UsageError("need 1 <= --n-min <= --n-max")
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        m = n if args.m == "n" else int(args.m)
-        spec = ClassSpec(
-            class_id=args.class_id,
-            n=n,
-            m=m,
-            processing_override=args.processing_override,
-            s3_interpretation=args.s3_interpretation,
-        )
-        measured = measure(generate(spec))
+        m = n if args.m == "n" else args.m
+        measured = measure(generate(_family_spec(args, n, m)))
         rows += [(args.class_id, n, m, p.value, *measured) for p in Migration]
     _write_or_print(emit_sweep(rows, args.format), args.out)
     return 0
@@ -212,15 +205,21 @@ def _cmd_render(args) -> int:
         raise _UsageError("--style svg needs --out PATH")
     instance = None
     if args.instance:
-        parsed = parse_instance(
-            Path(args.instance).read_text(encoding="utf-8"), enforce_constraints=False
-        )
-        instance = parsed if isinstance(parsed, Instance) else generate(parsed)
+        instance = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     schedule = schedule_from_csv(
         Path(args.in_path).read_text(encoding="utf-8"), instance
     )
     _write_or_print(render_gantt(schedule, args.style), args.out)
     return 0
+
+
+def _sweep_machines(text: str):
+    """sweep --m: 'n' or a positive integer."""
+    if text == "n":
+        return text
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"want 'n' or a positive integer, got {text!r}")
 
 
 def build_parser() -> _Parser:
@@ -236,13 +235,19 @@ def build_parser() -> _Parser:
 
     p_sim = sub.add_parser("simulate", help="run SRPT on an instance")
     _add_input_options(p_sim)
+    p_sim.add_argument(
+        "--policy",
+        choices=[p.value for p in Migration],
+        default=Migration.REASSIGN_ALL.value,
+        help="machine placement at decision epochs (default reassign-all)",
+    )
     p_sim.add_argument("--gantt", choices=["ascii", "svg"], help="render the schedule")
     p_sim.add_argument("--out", help="where to write the rendering")
     p_sim.add_argument("--dump", help="write the schedule as CSV segments")
     p_sim.set_defaults(func=_cmd_simulate)
 
     p_opt = sub.add_parser("opt", help="compute an offline-optimum makespan")
-    _add_input_options(p_opt, with_policy=False)
+    _add_input_options(p_opt)
     p_opt.add_argument(
         "--method",
         choices=["paper", "mcnaughton", "brute"],
@@ -275,11 +280,11 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--n-max", type=int, default=16)
     p_sweep.add_argument(
         "--m",
+        type=_sweep_machines,
         default="n",
-        help="machine count: an integer or 'n' to track the family parameter",
+        help="machine count: a positive integer or 'n' to track the family parameter",
     )
-    p_sweep.add_argument("--s3-interpretation", choices=["literal-2n", "theorem-n-plus-2"])
-    p_sweep.add_argument("--processing-override", type=int)
+    _add_family_options(p_sweep)
     p_sweep.add_argument("--format", choices=["text", "csv"], default="text")
     p_sweep.add_argument("--out")
     p_sweep.set_defaults(func=_cmd_sweep)

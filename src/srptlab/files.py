@@ -12,6 +12,8 @@ or a class stanza::
     {class: "S1", n: 3, m: 2}
 
 Schedule dumps are CSV with one segment per row: job,machine,start,end.
+``_csv_text`` is the one CSV writer; the schedule dump and every CSV table in
+reports.py go through it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import csv
 import io
 
 from .model import Instance, Job, Schedule, Segment
-from .workloads import ClassSpec
+from .workloads import ClassSpec, generate
 
 
 class ParseError(ValueError):
@@ -41,8 +43,7 @@ def check_constraints(inst: Instance) -> None:
     if violations:
         raise ConstraintError(
             "; ".join(violations)
-            + " -- pass enforce_constraints=False / --no-enforce-constraints"
-            " to schedule it anyway"
+            + " -- pass --no-enforce-constraints to schedule it anyway"
         )
 
 
@@ -54,11 +55,10 @@ def _require_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
-def parse_instance(text: str, enforce_constraints: bool = True):
-    """Parse an instance document into an Instance or a ClassSpec.
+def parse_instance(text: str) -> Instance:
+    """Parse an instance document; a class stanza is generated.
 
-    Explicit instances are constraint-checked unless enforcement is off;
-    class stanzas are returned as specs (generate and check separately).
+    Model constraints are not checked here: check_constraints does that.
     """
     # Imported here so that commands which read no instance file skip it.
     import yaml
@@ -83,12 +83,9 @@ def parse_instance(text: str, enforce_constraints: bool = True):
     if has_class and has_jobs:
         raise ParseError("give either a class stanza or an explicit job list, not both")
     if has_class:
-        return _parse_class_stanza(doc)
+        return generate(_parse_class_stanza(doc))
     if has_jobs:
-        inst = _parse_job_list(doc)
-        if enforce_constraints:
-            check_constraints(inst)
-        return inst
+        return _parse_job_list(doc)
     raise ParseError("instance document needs a 'class' or a 'jobs' key")
 
 
@@ -167,12 +164,16 @@ def _parse_job_list(doc: dict) -> Instance:
 SCHEDULE_COLUMNS = ("job", "machine", "start", "end")
 
 
-def schedule_to_csv(s: Schedule) -> str:
+def _csv_text(header, rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SCHEDULE_COLUMNS)
-    writer.writerows(s.segments)
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def schedule_to_csv(s: Schedule) -> str:
+    return _csv_text(SCHEDULE_COLUMNS, s.segments)
 
 
 def schedule_from_csv(text: str, instance: Instance | None = None) -> Schedule:

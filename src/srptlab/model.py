@@ -67,7 +67,11 @@ class Instance:
             raise ValueError("instance must contain at least one job")
         if self.machines < 1:
             raise ValueError(f"machine count must be >= 1, got {self.machines}")
-        ids = sorted(job.id for job in self.jobs)
+        try:
+            ids = sorted(job.id for job in self.jobs)
+        except AttributeError:
+            pos = next(i for i, j in enumerate(self.jobs) if not isinstance(j, Job))
+            raise ValueError(f"jobs[{pos}] is not a Job: {self.jobs[pos]!r}") from None
         if ids != list(range(1, len(self.jobs) + 1)):
             raise ValueError(
                 f"job ids must be unique and contiguous from 1, got {ids}"

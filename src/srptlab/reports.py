@@ -1,11 +1,9 @@
 """Every table srpt-lab writes: the verdict table (pinned CSV schema and an
 aligned text view), the measurement-only sweep table, and the discrepancy
-report. All of them go through one text-table and one CSV function."""
+report. All of them go through one text-table function and the one CSV
+writer, files._csv_text."""
 
 from __future__ import annotations
-
-import csv
-import io
 
 from .analysis import (
     MISMATCH,
@@ -16,6 +14,7 @@ from .analysis import (
     theorem_spec,
 )
 from .engine import Migration
+from .files import _csv_text
 from .model import Rational
 from .oracles import DEFAULT_CEILING, SearchCeilingError, brute_force_opt
 from .workloads import generate
@@ -59,17 +58,9 @@ def _text_table(header, body, indent: str = "", align=str.ljust) -> list[str]:
     return [line(header, str.ljust)] + [line(row, align) for row in body]
 
 
-def _csv_table(header, body) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(body)
-    return buf.getvalue().encode("utf-8")
-
-
 def _emit(header, body, fmt: str) -> bytes:
     if fmt == "csv":
-        return _csv_table(header, body)
+        return _csv_text(header, body).encode("utf-8")
     if fmt == "text":
         return ("\n".join(_text_table(header, body)) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}; use 'text' or 'csv'")

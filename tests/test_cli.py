@@ -112,6 +112,76 @@ class TestSimulate:
         assert code == 0
         assert "makespan 2" in out
 
+    TOO_FEW_JOBS = (
+        "{jobs: [{arrival: 0, processing: 3}, {arrival: 0, processing: 3}],"
+        " machines: 3}"
+    )
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            TOO_FEW_JOBS,
+            '{class: "parametric", n: 2, m: 3, processing_override: 1}',
+        ],
+        ids=["job-list", "stanza"],
+    )
+    def test_constraint_breach_in_file_is_input_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "inst.yaml"
+        path.write_text(doc)
+        code, out, err = run("simulate", "--in", str(path), capsys=capsys)
+        assert code == 1
+        assert "n >= m" in err
+        assert "--no-enforce-constraints" in err
+        assert "enforce_constraints=False" not in err
+        assert out == ""
+
+    def test_constraint_breach_in_file_can_be_allowed(self, tmp_path, capsys):
+        path = tmp_path / "inst.yaml"
+        path.write_text(self.TOO_FEW_JOBS)
+        code, out, _ = run(
+            "simulate", "--in", str(path), "--no-enforce-constraints", capsys=capsys
+        )
+        assert code == 0
+        assert "makespan 3" in out
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--n", "9"),
+            ("--m", "5"),
+            ("--s3-interpretation", "literal-2n"),
+            ("--processing-override", "4"),
+        ],
+    )
+    def test_family_flags_with_in_rejected(self, tmp_path, capsys, flag, value):
+        # Refused before the input is read: the instance file does not exist.
+        code, out, err = run(
+            "simulate", "--in", str(tmp_path / "none.yaml"), flag, value,
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert flag in err
+        assert "--class" in err
+        assert out == ""
+
+    def test_stanza_file_and_class_dump_the_same_bytes(self, tmp_path, capsys):
+        path = tmp_path / "s.yaml"
+        path.write_text('{class: "S5", n: 8}')
+        from_file = tmp_path / "file.csv"
+        from_class = tmp_path / "class.csv"
+        code, out_file, _ = run(
+            "simulate", "--in", str(path), "--dump", str(from_file), capsys=capsys
+        )
+        assert code == 0
+        code, out_class, _ = run(
+            "simulate", "--class", "S5", "--n", "8", "--dump", str(from_class),
+            capsys=capsys,
+        )
+        assert code == 0
+        assert out_file == out_class
+        assert from_file.read_bytes() == from_class.read_bytes()
+
     def test_in_and_class_together_rejected(self, tmp_path, capsys):
         path = tmp_path / "inst.yaml"
         path.write_text("{jobs: [{arrival: 0, processing: 5}], machines: 1}")
@@ -293,6 +363,19 @@ class TestSweep:
                 assert line in out.splitlines()
 
 
+    @pytest.mark.parametrize("m", ["abc", "0", "-2"])
+    def test_bad_machine_count_is_usage_error(self, capsys, monkeypatch, m):
+        def refuse(*args, **kwargs):
+            raise AssertionError("measure ran")
+
+        monkeypatch.setattr(cli, "measure", refuse)
+        code, out, err = run("sweep", "--class", "S5", "--m", m, capsys=capsys)
+        assert code == 1
+        assert "usage error" in err
+        assert "--m" in err
+        assert out == ""
+
+
 class TestRender:
     def test_round_trip_via_files(self, tmp_path, capsys):
         dump = tmp_path / "sched.csv"
@@ -319,6 +402,18 @@ class TestRender:
         )
         assert code == 0
         assert "P1: |J1 J1 .|" in out
+
+    def test_instance_file_is_not_constraint_checked(self, tmp_path, capsys):
+        # The one-job, two-machine instance breaches n >= m; render draws it.
+        inst = tmp_path / "inst.yaml"
+        inst.write_text("{jobs: [{arrival: 0, processing: 2}], machines: 2}")
+        dump = tmp_path / "sched.csv"
+        dump.write_text("job,machine,start,end\n1,1,0,2\n")
+        code, out, _ = run(
+            "render", "--in", str(dump), "--instance", str(inst), capsys=capsys
+        )
+        assert code == 0
+        assert "P1: |J1 J1|" in out
 
     def test_svg_without_out_fails_before_reading(self, tmp_path, capsys):
         code, _, err = run(

@@ -28,18 +28,19 @@ def serialize_instance(inst: Instance) -> str:
 
 class TestParseClassStanza:
     def test_s2_stanza(self):
-        spec = parse_instance('{class: "S2", n: 3}')
-        assert isinstance(spec, ClassSpec)
-        inst = generate(spec)
+        inst = parse_instance('{class: "S2", n: 3}')
+        assert inst == generate(ClassSpec("S2", n=3))
         assert inst.machines == 3
         assert all(j.processing == 4 for j in inst.jobs)
         assert [j.arrival for j in inst.jobs] == [0, 1, 2]
 
     def test_stanza_with_overrides(self):
-        spec = parse_instance(
+        inst = parse_instance(
             '{class: "S3", n: 4, m: 3, s3_interpretation: "theorem-n-plus-2"}'
         )
-        inst = generate(spec)
+        assert inst == generate(
+            ClassSpec("S3", n=4, m=3, s3_interpretation="theorem-n-plus-2")
+        )
         assert inst.machines == 3
         assert all(j.processing == 6 for j in inst.jobs)
 
@@ -124,13 +125,14 @@ class TestConstraintEnforcement:
     )
 
     def test_enforced_by_default(self):
-        with pytest.raises(ConstraintError) as err:
-            parse_instance(self.TOO_FEW_JOBS)
-        assert "n >= m" in str(err.value)
-
-    def test_enforcement_can_be_disabled(self):
-        inst = parse_instance(self.TOO_FEW_JOBS, enforce_constraints=False)
+        # Parsing never checks the model constraints; check_constraints does,
+        # and the command line calls it unless --no-enforce-constraints.
+        inst = parse_instance(self.TOO_FEW_JOBS)
         assert inst.machines == 3
+        with pytest.raises(ConstraintError) as err:
+            check_constraints(inst)
+        assert "n >= m" in str(err.value)
+        assert "--no-enforce-constraints" in str(err.value)
 
     def test_short_jobs_flagged(self):
         with pytest.raises(ConstraintError) as err:
@@ -155,12 +157,12 @@ class TestRoundTrip:
     @given(inst=instances())
     @settings(max_examples=80)
     def test_round_trip_on_arbitrary_instances(self, inst):
-        assert parse_instance(serialize_instance(inst), enforce_constraints=False) == inst
+        assert parse_instance(serialize_instance(inst)) == inst
 
 
 class TestScheduleDump:
     def test_round_trip(self):
-        inst = parse_instance("{jobs: [{arrival: 0, processing: 4}], machines: 2}", False)
+        inst = parse_instance("{jobs: [{arrival: 0, processing: 4}], machines: 2}")
         schedule, _ = simulate_srpt(inst)
         text = schedule_to_csv(schedule)
         assert text.splitlines()[0] == "job,machine,start,end"

@@ -75,6 +75,11 @@ class TestJobAndInstance:
         with pytest.raises(ValueError):
             Instance(jobs=(Job(1, 0, 1), Job(3, 0, 1)), machines=1)
 
+    def test_instance_names_the_first_entry_that_is_not_a_job(self):
+        with pytest.raises(ValueError) as err:
+            Instance(jobs=(Job(1, 0, 2), {"id": 2}, (3, 0, 2)), machines=1)
+        assert str(err.value) == "jobs[1] is not a Job: {'id': 2}"
+
     def test_ids_may_be_listed_in_any_order(self):
         inst = Instance(jobs=(Job(2, 1, 3), Job(1, 0, 3)), machines=1)
         assert {job.id: job for job in inst.jobs}[1].arrival == 0
@@ -154,7 +159,7 @@ class TestJob:
         assert repr(again) == repr(job)
 
     def test_instance_refuses_a_plain_tuple(self):
-        with pytest.raises(AttributeError):
+        with pytest.raises(ValueError, match=r"jobs\[0\] is not a Job: \(1, 0, 2\)"):
             Instance(jobs=((1, 0, 2),), machines=1)
 
 
