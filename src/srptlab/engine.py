@@ -23,8 +23,8 @@ what it reads.
 
   * ``reassign-all``: the running jobs are laid out on machines 1..k in
     (remaining, id) order at every epoch where something stopped or started,
-    so a job may migrate while it keeps running; a job closes its segment
-    only when its rank changes.
+    so a job may migrate while it keeps running; a running job closes its
+    segment and opens another only when its machine changes.
   * ``sticky``: a running job keeps its machine; a stopped job frees its
     machine and each started job takes the lowest free one, so an epoch costs
     only its changes.
@@ -37,8 +37,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
-from itertools import compress
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from .model import Instance, Schedule, Segment
@@ -181,39 +180,38 @@ def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
     """Put each epoch's running jobs on machines and merge the segments.
 
     log holds _decisions' items; the placement made at one epoch holds until
-    the next, and the last epoch stops every job. Sticky reads only stopped
-    and started; reassign-all re-ranks running only where either is non-empty
-    and reopens a segment only for a job whose rank changed.
+    the next, and the last epoch stops every job. Both policies close the
+    segment of each stopped job. Sticky then gives each started job the
+    lowest free machine; reassign-all walks running, where it puts job i on
+    machine i, and reopens a segment only for a job whose machine changed.
+
+    A machine's segments close in time order and never start together, so
+    concatenating the machines gives Schedule.from_segments' order without
+    a sort; the makespan is the last epoch's time.
     """
     sticky = Migration(migration) is Migration.STICKY
     free = list(range(1, inst.machines + 1))  # sticky: idle machines, a min-heap
     held: dict[int, tuple[int, int]] = {}  # running job -> (machine, start)
-    ranked: tuple[int, ...] = ()  # reassign-all: the last re-ranked running ids
-    segments: list[Segment] = []
-
-    def close(job_id: int, t: int) -> int:
-        machine, start = held.pop(job_id)
-        segments.append(Segment(job_id, machine, start, t))
-        return machine
-
+    closed: list[list[Segment]] = [[] for _ in range(inst.machines)]  # in time order
+    t = 0
     for t, running, stopped, started in log:
+        for job_id in stopped:
+            machine, start = held.pop(job_id)
+            closed[machine - 1].append(Segment(job_id, machine, start, t))
+            if sticky:
+                heappush(free, machine)
         if sticky:
-            for job_id in stopped:
-                heappush(free, close(job_id, t))
             for job_id in started:
                 held[job_id] = (heappop(free), t)
         elif stopped or started:
-            # Job i of running sits on machine i; those at an unchanged rank
-            # keep their segment.
-            ids = tuple(map(itemgetter(1), running))
-            kept = set(compress(ids, map(eq, ranked, ids)))
-            for job_id in held.keys() - kept:
-                close(job_id, t)
-            for machine, job_id in enumerate(ids, 1):
-                if job_id not in held:
+            for machine, (_, job_id) in enumerate(running, 1):
+                was = held.get(job_id)
+                if was is None:
                     held[job_id] = (machine, t)
-            ranked = ids
-    return Schedule.from_segments(inst, segments)
+                elif was[0] != machine:
+                    closed[was[0] - 1].append(Segment(job_id, was[0], was[1], t))
+                    held[job_id] = (machine, t)
+    return Schedule(inst, [seg for segs in closed for seg in segs], t)
 
 
 def simulate_srpt(

@@ -3,7 +3,9 @@
 ASCII: one cell per time unit per machine row, "J<id>" for a running job
 and "." for idle, wrapped in bars, with an integer time axis underneath.
 SVG: one rect per execution segment at a fixed pixels-per-unit scale.
-Both renderers are byte-deterministic for a given schedule.
+Both renderers are byte-deterministic for a given schedule. Their output
+grows with the makespan, not with the segment count, so render_gantt refuses
+a chart larger than ASCII_MAX_CELLS or SVG_MAX_UNITS before drawing it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,11 @@ SVG_ROW = 26  # machine row height
 SVG_GAP = 6
 SVG_LEFT = 48  # label gutter
 SVG_TOP = 12
+# Size limits: the ASCII grid holds machines x makespan cells and the SVG
+# axis two elements per time unit. S5 at n = 96 needs 45,984 cells and 479
+# units.
+ASCII_MAX_CELLS = 1_000_000
+SVG_MAX_UNITS = 50_000
 SVG_PALETTE = (
     "#8dd3c7",
     "#ffffb3",
@@ -29,13 +36,24 @@ SVG_PALETTE = (
 
 def render_gantt(s: Schedule, style: str = "ascii") -> bytes:
     """Render a validated schedule; invalid schedules are rejected with
-    their violation list."""
+    their violation list, and charts over the size limits with their size."""
     violations = validate_schedule(s)
     if violations:
         raise ValueError("cannot render an invalid schedule: " + "; ".join(violations))
     if style == "ascii":
+        cells = s.instance.machines * s.makespan
+        if cells > ASCII_MAX_CELLS:
+            raise ValueError(
+                f"ASCII Gantt chart too large: {s.instance.machines} machines x"
+                f" makespan {s.makespan} = {cells} cells, limit {ASCII_MAX_CELLS}"
+            )
         return render_ascii(s).encode("utf-8")
     if style == "svg":
+        if s.makespan > SVG_MAX_UNITS:
+            raise ValueError(
+                f"SVG Gantt chart too large: makespan {s.makespan} time units,"
+                f" limit {SVG_MAX_UNITS}"
+            )
         return render_svg(s).encode("utf-8")
     raise ValueError(f"unknown gantt style {style!r}; use 'ascii' or 'svg'")
 
@@ -86,16 +104,25 @@ def render_svg(s: Schedule) -> str:
             f' font-size="14">P{m}</text>'
         )
     # One string per segment: its rect and its label, joined like two lines.
+    # The parts fixed by the machine row and by the job's colour are
+    # formatted once, leaving the x, width and label fields per segment.
+    rect_y = [f'" y="{y}" width="' for y in rows]
+    label_y = [
+        f'" y="{y + SVG_ROW - 8}" font-family="monospace" font-size="12"'
+        ' text-anchor="middle">J'
+        for y in rows
+    ]
+    fills = [
+        f'" height="{SVG_ROW}" fill="{fill}" stroke="black"/>\n<text x="'
+        for fill in SVG_PALETTE
+    ]
+    colours = len(SVG_PALETTE)
     for job_id, machine, start, end in s.segments:
         x = SVG_LEFT + start * SVG_UNIT
-        y = rows[machine - 1]
         w = (end - start) * SVG_UNIT
-        fill = SVG_PALETTE[(job_id - 1) % len(SVG_PALETTE)]
         out.append(
-            f'<rect x="{x}" y="{y}" width="{w}" height="{SVG_ROW}"'
-            f' fill="{fill}" stroke="black"/>\n'
-            f'<text x="{x + w // 2}" y="{y + SVG_ROW - 8}" font-family="monospace"'
-            f' font-size="12" text-anchor="middle">J{job_id}</text>'
+            f'<rect x="{x}{rect_y[machine - 1]}{w}{fills[(job_id - 1) % colours]}'
+            f"{x + w // 2}{label_y[machine - 1]}{job_id}</text>"
         )
     axis_y = SVG_TOP + m_count * (SVG_ROW + SVG_GAP) + 8
     out.append(

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -155,7 +156,9 @@ class Schedule:
     """Execution segments for an instance plus the resulting makespan.
 
     Construction does not validate: broken schedules are representable so
-    that validate_schedule can report their violations as data.
+    that validate_schedule can report their violations as data. A schedule
+    and everything it holds are immutable, so its violations are found once,
+    on the first validate_schedule call, and kept with it.
     """
 
     instance: Instance
@@ -180,6 +183,10 @@ class Schedule:
             done[seg.job_id] = max(done.get(seg.job_id, 0), seg.end)
         return dict(sorted(done.items()))
 
+    @cached_property
+    def _violations(self) -> tuple[str, ...]:
+        return tuple(_schedule_violations(self))
+
 
 def _overlaps(segs: list[Segment]):
     """Yield (a, b, (lo, hi)) for every overlapping pair of segs, which must
@@ -201,9 +208,16 @@ def validate_schedule(s: Schedule) -> list[str]:
     An empty list means the schedule is valid. Checked, in order: segment
     references (job exists, machine in range), makespan consistency, work
     conservation per job, machine overlaps, a job running on two machines
-    at once, and release respect. Costs O(S log S) for S segments, plus one
-    step per violation reported.
+    at once, and release respect. The first call on a schedule costs
+    O(S log S) for S segments, plus one step per violation reported; later
+    calls reuse its verdict. Each call returns a fresh list.
     """
+    return list(s._violations)
+
+
+def _schedule_violations(s: Schedule) -> list[str]:
+    """validate_schedule's checks, run once per schedule by
+    Schedule._violations."""
     violations: list[str] = []
     machines = s.instance.machines
     arrival = {job.id: job.arrival for job in s.instance.jobs}

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from srptlab import Schedule, Segment, cli
+from srptlab import Schedule, Segment, cli, model
 from srptlab.cli import main
 from srptlab.oracles import OptMethod, OptResult
 
@@ -58,6 +58,37 @@ class TestSimulate:
         assert code == 0
         assert dump.read_text().startswith("job,machine,start,end")
         assert svg.read_bytes().startswith(b"<svg ")
+
+    def test_dump_and_svg_validate_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        body = model._schedule_violations
+        monkeypatch.setattr(
+            model, "_schedule_violations", lambda s: calls.append(s) or body(s)
+        )
+        code, _, _ = run(
+            "simulate", "--class", "S5", "--n", "8", "--policy", "reassign-all",
+            "--dump", str(tmp_path / "F.csv"),
+            "--gantt", "svg", "--out", str(tmp_path / "G.svg"),
+            capsys=capsys,
+        )
+        assert code == 0
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("style", ["ascii", "svg"])
+    def test_long_job_chart_is_refused(self, tmp_path, capsys, style):
+        path = tmp_path / "long.yaml"
+        path.write_text(
+            "machines: 1\njobs: [{id: 1, arrival: 0, processing: 1000000000000}]\n"
+        )
+        chart = tmp_path / f"long.{style}"
+        code, out, err = run(
+            "simulate", "--in", str(path), "--gantt", style, "--out", str(chart),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == "makespan 1000000000000\n"
+        assert "Gantt chart too large" in err
+        assert not chart.exists()
 
     def test_invalid_schedule_is_not_dumped(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(

@@ -9,6 +9,7 @@ from srptlab import (
     Job,
     Migration,
     PolicyConfig,
+    Schedule,
     Segment,
     generate,
     remaining_profile,
@@ -155,6 +156,17 @@ class TestDecisionDeltas:
         )
         schedule = place(inst, unreadable, Migration.STICKY)
         assert schedule == simulate_srpt(inst, STICKY)[0]
+
+    @pytest.mark.parametrize("migration", list(Migration))
+    @given(inst=instances(max_n=12, max_m=6, max_processing=6, max_arrival=10))
+    @example(inst=generate(ClassSpec(ClassId.S5, n=16)))
+    @settings(max_examples=200)
+    def test_placement_is_in_schedule_order(self, migration, inst):
+        # place does not sort: its segments must already be in
+        # from_segments' (machine, start, job_id) order, and its makespan the
+        # latest segment end.
+        placed = place(inst, engine._decisions(inst), migration)
+        assert placed == Schedule.from_segments(inst, placed.segments)
 
 
 class TestRemainingProfile:

@@ -15,9 +15,11 @@ from srptlab import (
     simulate_srpt,
     validate_schedule,
 )
+from srptlab import gantt
 from srptlab.gantt import render_gantt
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
+SVG_GOLDEN = Path(__file__).parent / "golden" / "gantt_s5_n8_reassign.svg"
 
 
 def _hand_trace_schedule() -> Schedule:
@@ -76,6 +78,11 @@ class TestSvg:
         # J1 runs [0,2): x = 48 + 0*24, width = 2*24 at row one
         assert '<rect x="48" y="12" width="48" height="26"' in svg
 
+    def test_golden_bytes(self):
+        inst = generate(ClassSpec(ClassId.S5, n=8))
+        schedule, _ = simulate_srpt(inst, PolicyConfig(migration=Migration.REASSIGN_ALL))
+        assert render_gantt(schedule, "svg") == SVG_GOLDEN.read_bytes()
+
     def test_svg_deterministic(self):
         schedule, _ = simulate_srpt(generate(ClassSpec(ClassId.S4, n=3)))
         assert render_gantt(schedule, "svg") == render_gantt(schedule, "svg")
@@ -92,3 +99,43 @@ class TestRejection:
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             render_gantt(_hand_trace_schedule(), "png")
+
+
+def _long_job_schedule() -> Schedule:
+    inst = Instance(jobs=(Job(1, 0, 10**12),), machines=1)
+    return Schedule.from_segments(inst, [Segment(1, 1, 0, 10**12)])
+
+
+class TestSizeLimits:
+    def test_long_ascii_chart_refused_with_its_size(self):
+        with pytest.raises(ValueError) as err:
+            render_gantt(_long_job_schedule(), "ascii")
+        assert (
+            f"1 machines x makespan {10**12} = {10**12} cells,"
+            f" limit {gantt.ASCII_MAX_CELLS}"
+        ) in str(err.value)
+
+    def test_long_svg_chart_refused_with_its_size(self):
+        with pytest.raises(ValueError) as err:
+            render_gantt(_long_job_schedule(), "svg")
+        assert (
+            f"makespan {10**12} time units, limit {gantt.SVG_MAX_UNITS}"
+        ) in str(err.value)
+
+    def test_limits_cover_the_largest_rendered_family(self):
+        inst = generate(ClassSpec(ClassId.S5, n=96))
+        makespan = 5 * 96 - 1
+        assert inst.machines * makespan <= gantt.ASCII_MAX_CELLS
+        assert makespan <= gantt.SVG_MAX_UNITS
+
+    @pytest.mark.parametrize(
+        "style, limit", [("ascii", "ASCII_MAX_CELLS"), ("svg", "SVG_MAX_UNITS")]
+    )
+    def test_a_chart_at_the_limit_is_drawn(self, monkeypatch, style, limit):
+        schedule = _hand_trace_schedule()  # 2 machines, makespan 3
+        size = 6 if style == "ascii" else 3
+        monkeypatch.setattr(gantt, limit, size)
+        assert render_gantt(schedule, style)
+        monkeypatch.setattr(gantt, limit, size - 1)
+        with pytest.raises(ValueError, match="too large"):
+            render_gantt(schedule, style)

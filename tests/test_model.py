@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -12,6 +13,7 @@ from srptlab import (
     rational_of,
     validate_schedule,
 )
+from srptlab import model
 
 
 class TestRationalOf:
@@ -308,3 +310,43 @@ class TestValidateSchedule:
         assert s.makespan == 2
         assert [seg.machine for seg in s.segments] == [1, 2]
         assert s.completion_times() == {1: 2, 2: 2}
+
+
+class TestValidateOnce:
+    def _broken(self):
+        return Schedule.from_segments(_one_job_instance(), [Segment(1, 1, 0, 1)])
+
+    def test_checks_run_once_per_schedule(self, monkeypatch):
+        calls = []
+        body = model._schedule_violations
+        monkeypatch.setattr(
+            model, "_schedule_violations", lambda s: calls.append(s) or body(s)
+        )
+        s = self._broken()
+        assert validate_schedule(s) == validate_schedule(s) == [
+            "job 1 received 1 of 2 units"
+        ]
+        assert len(calls) == 1
+
+    def test_each_call_returns_a_fresh_list(self):
+        s = self._broken()
+        first = validate_schedule(s)
+        first.append("caller's own note")
+        validate_schedule(s).clear()
+        assert validate_schedule(s) == ["job 1 received 1 of 2 units"]
+
+    def test_replaced_schedule_is_checked_afresh(self):
+        s = Schedule.from_segments(_one_job_instance(), [Segment(1, 1, 0, 2)])
+        assert validate_schedule(s) == []
+        later = dataclasses.replace(s, makespan=s.makespan + 1)
+        assert validate_schedule(later) == ["makespan 3 != latest segment end 2"]
+        assert validate_schedule(s) == []
+
+    @pytest.mark.parametrize("validated_first", [False, True])
+    def test_pickle_round_trip_keeps_the_verdict(self, validated_first):
+        s = self._broken()
+        if validated_first:
+            validate_schedule(s)
+        again = pickle.loads(pickle.dumps(s))
+        assert again == s
+        assert validate_schedule(again) == ["job 1 received 1 of 2 units"]
