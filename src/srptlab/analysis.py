@@ -213,7 +213,7 @@ def measure(inst: Instance) -> tuple[int, int, Rational]:
     McNaughton's preemptive zero-release optimum, defined for any instance
     shape.
     """
-    for w_srpt, _, _, _ in _decisions(inst):
+    for w_srpt, _, _, _, _ in _decisions(inst):
         pass
     w_opt = mcnaughton(inst).makespan
     return w_srpt, w_opt, competitive_ratio(w_srpt, w_opt)

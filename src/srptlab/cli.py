@@ -120,6 +120,8 @@ def _print_and_dump(line: str, schedule, path: str | None) -> None:
 def _cmd_simulate(args) -> int:
     if args.gantt == "svg" and not args.out:
         raise _UsageError("--gantt svg needs --out PATH")
+    if args.out and not args.gantt:
+        raise _UsageError("--out writes a rendering; it needs --gantt ascii|svg")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
     _print_and_dump(f"makespan {schedule.makespan}", schedule, args.dump)
@@ -177,17 +179,20 @@ def _cmd_verify(args) -> int:
         raise _UsageError("need 1 <= --n-min <= --n-max")
     if args.discrepancies and not args.out:
         raise _UsageError("--discrepancies needs --out PATH")
-    sweep = verify_all(range(args.n_min, args.n_max + 1))
-    table = emit_report(sweep, args.format)
-    disc = discrepancy_report(sweep).encode("utf-8")
     if args.out:
         out = Path(args.out)
-        out.write_bytes(table)
         disc_path = (
             Path(args.discrepancies)
             if args.discrepancies
             else out.with_name(out.stem + "-discrepancies.txt")
         )
+        if disc_path.resolve() == out.resolve():
+            raise _UsageError("--out and --discrepancies name the same file")
+    sweep = verify_all(range(args.n_min, args.n_max + 1))
+    table = emit_report(sweep, args.format)
+    disc = discrepancy_report(sweep).encode("utf-8")
+    if args.out:
+        out.write_bytes(table)
         disc_path.write_bytes(disc)
         print(f"wrote {out} and {disc_path}")
     else:

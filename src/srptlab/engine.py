@@ -10,12 +10,12 @@ what it reads.
   jobs sit in a heap on (remaining, id) and running jobs in a list of
   (finish, id) pairs kept sorted: running jobs all lose work at the same
   rate, so that order holds between epochs and only an arrival can preempt.
-  Each epoch reports the running pairs and the jobs that stopped and started.
-* ``select_srpt`` replays the remaining work of every released job over the
-  loop and yields one ``Epoch`` per decision point: the time, the
-  remaining-work snapshot and the running jobs. This log is the engine trace,
-  so the trace is the same under both policies. ``EngineTrace`` holds only
-  the instance and builds the log when its epochs are read.
+  Each epoch reports both queues and the jobs that stopped and started.
+* ``select_srpt`` reads the trace off the loop's queues and yields one
+  ``Epoch`` per decision point: the time, the remaining-work snapshot and the
+  running jobs. This log is the engine trace, so the trace is the same under
+  both policies. ``EngineTrace`` holds only the instance and builds the log
+  when its epochs are read.
 * ``place`` is the only code that assigns machines; the machines live only in
   the schedule's segments. It consumes the loop's reports and never changes
   which jobs run, so both policies select the same jobs and produce the same
@@ -94,24 +94,24 @@ class EngineTrace:
         return tuple(e.time for e in self.epochs)
 
 
-def _arrival_order(inst: Instance) -> list[tuple[int, int, int]]:
-    """(arrival, id, processing) per job, latest arrival first, so the next
-    arrival pops off the end."""
-    return sorted(
-        [(arrival, job_id, work) for job_id, arrival, work in inst.jobs], reverse=True
-    )
-
-
-def _decisions(inst: Instance) -> Iterator[tuple[int, list, list[int], list[int]]]:
-    """The SRPT decision loop: yield (time, running, stopped, started) once
-    per epoch, the last one at the makespan with nothing running.
+def _decisions(
+    inst: Instance,
+) -> Iterator[tuple[int, list, list, list[int], list[int]]]:
+    """The SRPT decision loop: yield (time, running, waiting, stopped,
+    started) once per epoch, the last one at the makespan with both queues
+    empty.
 
     running is the loop's own sorted list of (finish, id) pairs, which is
-    (remaining, id) order, and changes once the next epoch is asked for.
-    stopped (completed or preempted here) and started (admitted here, in
+    (remaining, id) order; waiting is its heap of (remaining, id) for the
+    released jobs that do not run. Both change once the next epoch is asked
+    for. stopped (completed or preempted here) and started (admitted here, in
     (remaining, id) order) are fresh, disjoint lists of job ids.
     """
-    pending = _arrival_order(inst)
+    # (arrival, id, processing) per job, latest arrival first, so the next
+    # arrival pops off the end.
+    pending = sorted(
+        [(arrival, job_id, work) for job_id, arrival, work in inst.jobs], reverse=True
+    )
     machines = inst.machines
     waiting: list[tuple[int, int]] = []  # heap of (remaining, id)
     running: list[tuple[int, int]] = []  # (completion if not preempted, id)
@@ -139,7 +139,7 @@ def _decisions(inst: Instance) -> Iterator[tuple[int, list, list[int], list[int]
                 stopped.append(worst)
             insort(running, (t + work, job_id))
             started.append(job_id)
-        yield t, running, stopped, started
+        yield t, running, waiting, stopped, started
         # The next epoch is the earlier of the next completion and the next
         # arrival; with nothing running the machines idle until the arrival.
         if running:
@@ -154,36 +154,26 @@ def _decisions(inst: Instance) -> Iterator[tuple[int, list, list[int], list[int]
 
 def select_srpt(inst: Instance) -> Iterator[Epoch]:
     """The decision log with snapshots: one Epoch per decision point, the
-    last one at the makespan. It replays the remaining work of every released
-    job over _decisions; the choice of who runs is made there alone."""
-    pending = _arrival_order(inst)
-    # (id, remaining) per released, unfinished job; a waiting job's entry is
-    # shared by consecutive snapshots.
-    entry: dict[int, tuple[int, int]] = {}
-    ran: tuple[int, ...] = ()
-    prev = 0
-    for t, running, _, _ in _decisions(inst):
-        for job_id in ran:
-            left = entry[job_id][1] - (t - prev)
-            if left:
-                entry[job_id] = (job_id, left)
-            else:
-                del entry[job_id]
-        while pending and pending[-1][0] <= t:
-            _, job_id, work = pending.pop()
-            entry[job_id] = (job_id, work)
-        ran, prev = tuple(map(itemgetter(1), running)), t
-        yield Epoch(t, tuple(sorted(entry.values())), ran)
+    last one at the makespan. Each snapshot is read off _decisions' queues:
+    a running job has finish - t left and a waiting job its heap key. The
+    choice of who runs is made there alone."""
+    for t, running, waiting, _, _ in _decisions(inst):
+        left = [(job_id, end - t) for end, job_id in running]
+        left += [(job_id, work) for work, job_id in waiting]
+        left.sort()
+        yield Epoch(t, tuple(left), tuple(map(itemgetter(1), running)))
 
 
 def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
     """Put each epoch's running jobs on machines and merge the segments.
 
-    log holds _decisions' items; the placement made at one epoch holds until
-    the next, and the last epoch stops every job. Both policies close the
-    segment of each stopped job. Sticky then gives each started job the
-    lowest free machine; reassign-all walks running, where it puts job i on
-    machine i, and reopens a segment only for a job whose machine changed.
+    log holds _decisions' items, of which place reads the running list and
+    the stopped and started ids, never the waiting heap. The placement made
+    at one epoch holds until the next, and the last epoch stops every job.
+    Both policies close the segment of each stopped job. Sticky then gives
+    each started job the lowest free machine; reassign-all walks running,
+    where it puts job i on machine i, and reopens a segment only for a job
+    whose machine changed.
 
     A machine's segments close in time order and never start together, so
     concatenating the machines gives Schedule.from_segments' order without
@@ -194,7 +184,7 @@ def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
     held: dict[int, tuple[int, int]] = {}  # running job -> (machine, start)
     closed: list[list[Segment]] = [[] for _ in range(inst.machines)]  # in time order
     t = 0
-    for t, running, stopped, started in log:
+    for t, running, _, stopped, started in log:
         for job_id in stopped:
             machine, start = held.pop(job_id)
             closed[machine - 1].append(Segment(job_id, machine, start, t))

@@ -1,7 +1,8 @@
 """Gantt rendering of schedules: machine-per-row timing diagrams.
 
 ASCII: one cell per time unit per machine row, "J<id>" for a running job
-and "." for idle, wrapped in bars, with an integer time axis underneath.
+and "." for idle, each padded to the widest job label and wrapped in bars,
+with an integer time axis underneath whose ticks line up with the cells.
 SVG: one rect per execution segment at a fixed pixels-per-unit scale.
 Both renderers are byte-deterministic for a given schedule. Their output
 grows with the makespan, not with the segment count, so render_gantt refuses
@@ -58,33 +59,30 @@ def render_gantt(s: Schedule, style: str = "ascii") -> bytes:
     raise ValueError(f"unknown gantt style {style!r}; use 'ascii' or 'svg'")
 
 
-def _cell_grid(s: Schedule) -> dict[tuple[int, int], str]:
-    grid: dict[tuple[int, int], str] = {}
-    for seg in s.segments:
-        for t in range(seg.start, seg.end):
-            grid[(seg.machine, t)] = f"J{seg.job_id}"
-    return grid
-
-
 def render_ascii(s: Schedule) -> str:
-    grid = _cell_grid(s)
+    # Every cell, idle "." included, is padded to the widest job label, so
+    # cell t starts in the column of tick t.
+    width = max(len(f"J{job.id}") for job in s.instance.jobs)
+    grid: dict[tuple[int, int], str] = {}
+    for job_id, machine, start, end in s.segments:
+        label = f"J{job_id}".ljust(width)
+        for t in range(start, end):
+            grid[(machine, t)] = label
+    idle = ".".ljust(width)
     machines = range(1, s.instance.machines + 1)
     label_width = max(len(f"P{m}:") for m in machines) + 1
     lines = []
     for m in machines:
-        cells = [grid.get((m, t), ".") for t in range(s.makespan)]
+        cells = [grid.get((m, t), idle) for t in range(s.makespan)]
         lines.append(f"P{m}:".ljust(label_width) + "|" + " ".join(cells) + "|")
 
-    # Tick row under the cells when every label has one width and the tick
-    # numbers fit the cell stride; otherwise a flat integer listing.
-    label_widths = {len(f"J{job.id}") for job in s.instance.jobs}
-    if len(label_widths) == 1:
-        stride = next(iter(label_widths)) + 1
-        if len(str(s.makespan)) <= stride:
-            ticks = "".join(str(t).ljust(stride) for t in range(s.makespan + 1))
-            lines.append(" " * (label_width + 1) + ticks.rstrip())
-            return "\n".join(lines) + "\n"
-    lines.append("t: " + " ".join(str(t) for t in range(s.makespan + 1)))
+    # Tick row under the cells when every tick number fits a cell, leaving a
+    # space before the next; otherwise a flat integer listing.
+    if len(str(s.makespan)) <= width:
+        ticks = "".join(str(t).ljust(width + 1) for t in range(s.makespan + 1))
+        lines.append(" " * (label_width + 1) + ticks.rstrip())
+    else:
+        lines.append("t: " + " ".join(str(t) for t in range(s.makespan + 1)))
     return "\n".join(lines) + "\n"
 
 

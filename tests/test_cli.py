@@ -125,6 +125,21 @@ class TestSimulate:
         assert not dump.exists()
         assert "makespan" not in out
 
+    def test_out_without_gantt_fails_before_simulating(self, tmp_path, capsys):
+        dump = tmp_path / "sched.csv"
+        chart = tmp_path / "chart.txt"
+        code, out, err = run(
+            "simulate", "--class", "S1", "--n", "2", "--m", "2",
+            "--dump", str(dump), "--out", str(chart),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "--gantt" in err
+        assert out == ""
+        assert not dump.exists()
+        assert not chart.exists()
+
     def test_constraint_breach_is_input_error(self, capsys):
         code, _, err = run(
             "simulate", "--class", "parametric", "--n", "2", "--m", "3",
@@ -364,6 +379,27 @@ class TestVerify:
         assert out == ""
         assert not disc.exists()
 
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_one_file_for_table_and_report_is_refused(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_all ran")
+
+        monkeypatch.setattr(cli, "verify_all", refuse)
+        table = tmp_path / "report.csv"
+        disc = table if spelling == "same" else tmp_path / "." / "report.csv"
+        code, out, err = run(
+            "verify-theorems", "--n-max", "2", "--out", str(table),
+            "--discrepancies", str(disc),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "same file" in err
+        assert out == ""
+        assert not table.exists()
+
 
 class TestSweep:
     def test_s5_measured_rows(self, capsys):
@@ -432,7 +468,7 @@ class TestRender:
             "render", "--in", str(dump), "--instance", str(inst), capsys=capsys
         )
         assert code == 0
-        assert "P1: |J1 J1 .|" in out
+        assert "P1: |J1 J1 . |" in out
 
     def test_instance_file_is_not_constraint_checked(self, tmp_path, capsys):
         # The one-job, two-machine instance breaches n >= m; render draws it.

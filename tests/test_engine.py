@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _strategies import instances, loop_items
+from _strategies import families, instances, loop_items
 from srptlab import (
     ClassId,
     ClassSpec,
@@ -121,10 +122,10 @@ class TestLazyTrace:
 
 
 class _Unreadable:
-    """Stands in for the loop's running list where nothing may read it."""
+    """Stands in for one of the loop's queues where nothing may read it."""
 
     def __iter__(self):
-        raise AssertionError("sticky placement read running")
+        raise AssertionError("sticky placement read a queue")
 
     __len__ = __iter__
 
@@ -135,11 +136,13 @@ class TestDecisionDeltas:
     def test_stopped_and_started_are_the_snapshot_differences(self, inst):
         before = set()
         items = zip(engine._decisions(inst), select_srpt(inst), strict=True)
-        for (t, running, stopped, started), epoch in items:
+        for (t, running, waiting, stopped, started), epoch in items:
             now = set(epoch.running)
             left = dict(epoch.remaining)
             assert t == epoch.time
             assert running == [(t + left[job_id], job_id) for job_id in epoch.running]
+            # The two queues split the released, unfinished jobs.
+            assert sorted([job_id for _, job_id in running + waiting]) == sorted(left)
             assert not set(stopped) & set(started)
             assert sorted(stopped) == sorted(before - now)
             assert sorted(started) == sorted(now - before)
@@ -151,8 +154,8 @@ class TestDecisionDeltas:
     @settings(max_examples=200)
     def test_sticky_placement_never_reads_running(self, inst):
         unreadable = (
-            (t, _Unreadable(), stopped, started)
-            for t, _, stopped, started in engine._decisions(inst)
+            (t, _Unreadable(), _Unreadable(), stopped, started)
+            for t, _, _, stopped, started in engine._decisions(inst)
         )
         schedule = place(inst, unreadable, Migration.STICKY)
         assert schedule == simulate_srpt(inst, STICKY)[0]
@@ -283,3 +286,36 @@ def test_monotone_completion_on_generated_classes(class_id, n):
         done = schedule.completion_times()
         ordered = [done[j.id] for j in sorted(inst.jobs, key=lambda x: x.id)]
         assert ordered == sorted(ordered)
+
+
+def _preemptions(inst):
+    """(time, id) for each job stopped with work left: the loop's waiting
+    heap holds it after the epoch that stopped it."""
+    out = []
+    for t, _, waiting, stopped, _ in engine._decisions(inst):
+        held = {job_id for _, job_id in waiting}
+        out += [(t, job_id) for job_id in stopped if job_id in held]
+    return out
+
+
+class TestNoPreemptionOnEqualJobs:
+    """Equal lengths and unit-spaced releases: a job that has run a unit has
+    less left than any waiting job, so SRPT never stops a job before it has
+    run all p units, whatever m is."""
+
+    def test_an_arrival_with_less_work_preempts(self):
+        inst = Instance(jobs=(Job(1, 0, 5), Job(2, 1, 1)), machines=1)
+        assert _preemptions(inst) == [(1, 1)]
+
+    @given(
+        n=st.integers(1, 40), m=st.integers(1, 20), p=st.integers(1, 40)
+    )
+    @example(n=7, m=5, p=2)  # p < m
+    @settings(max_examples=300)
+    def test_parametric(self, n, m, p):
+        spec = ClassSpec(ClassId.PARAMETRIC, n, m=m, processing_override=p)
+        assert _preemptions(generate(spec)) == []
+
+    def test_every_family(self):
+        for spec in families([*range(1, 34), 64]):
+            assert _preemptions(generate(spec)) == [], spec

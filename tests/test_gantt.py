@@ -1,7 +1,9 @@
+import re
 from pathlib import Path
 
 import pytest
 
+from _strategies import families
 from srptlab import (
     ClassId,
     ClassSpec,
@@ -37,8 +39,8 @@ class TestAscii:
     def test_golden_rows(self):
         text = render_gantt(_hand_trace_schedule(), "ascii").decode()
         lines = text.splitlines()
-        assert lines[0] == "P1: |J1 J1 .|"
-        assert lines[1] == "P2: |. J2 J2|"
+        assert lines[0] == "P1: |J1 J1 . |"
+        assert lines[1] == "P2: |.  J2 J2|"
         assert lines[2].split() == ["0", "1", "2", "3"]
 
     def test_sticky_simulation_reproduces_the_golden(self):
@@ -50,16 +52,42 @@ class TestAscii:
         inst = Instance(jobs=(Job(1, 0, 7),), machines=2)
         schedule, _ = simulate_srpt(inst)
         lines = render_gantt(schedule, "ascii").decode().splitlines()
-        assert lines[1] == "P2: |. . . . . . .|"
+        assert lines[1] == "P2: |.  .  .  .  .  .  . |"
 
     def test_rendering_is_deterministic(self):
         schedule, _ = simulate_srpt(generate(ClassSpec(ClassId.S4, n=3)))
         assert render_gantt(schedule, "ascii") == render_gantt(schedule, "ascii")
 
-    def test_mixed_width_labels_fall_back_to_flat_axis(self):
-        schedule, _ = simulate_srpt(generate(ClassSpec(ClassId.S2, n=10)))
+    def test_ticks_wider_than_a_cell_fall_back_to_flat_axis(self):
+        # A "J1" cell is 2 columns wide, so tick 99 fits it and tick 100
+        # would run into the next.
+        schedule, _ = simulate_srpt(Instance(jobs=(Job(1, 0, 100),), machines=1))
         text = render_gantt(schedule, "ascii").decode()
         assert text.splitlines()[-1].startswith("t: 0 1 2 ")
+        schedule, _ = simulate_srpt(Instance(jobs=(Job(1, 0, 99),), machines=1))
+        text = render_gantt(schedule, "ascii").decode()
+        assert text.splitlines()[-1].split()[-2:] == ["98", "99"]
+
+    @pytest.mark.parametrize("migration", list(Migration))
+    def test_every_cell_starts_in_its_tick_column(self, migration):
+        # Mixed label widths (J9 next to J10) and idle cells included.
+        for spec in families(range(1, 17)):
+            cfg = PolicyConfig(migration=migration)
+            schedule, _ = simulate_srpt(generate(spec), cfg)
+            label = {}
+            for job_id, machine, start, end in schedule.segments:
+                for t in range(start, end):
+                    label[(machine, t)] = f"J{job_id}"
+            *rows, axis = render_gantt(schedule, "ascii").decode().splitlines()
+            ticks = {int(m.group()): m.start() for m in re.finditer(r"\d+", axis)}
+            assert sorted(ticks) == list(range(schedule.makespan + 1)), spec
+            assert len({len(row) for row in rows}) == 1, spec
+            for machine, row in enumerate(rows, 1):
+                for t in range(schedule.makespan):
+                    col = ticks[t]
+                    assert row[col - 1] in "| ", (spec, machine, t)
+                    cell = re.match(r"[^ |]+", row[col:]).group()
+                    assert cell == label.get((machine, t), "."), (spec, machine, t)
 
 
 class TestSvg:
