@@ -26,7 +26,7 @@ def main() -> int:
     )
     for report in sweep.reports:
         print(f"{report.theorem_id}: {report.summary}")
-    print(f"S5 (no claim): {len(sweep.extra_rows)} measured rows")
+    print(f"S5 (no claim): {len(sweep.extra_rows)} measured instances")
     print(f"artifacts in {out_dir}")
     return 2 if sweep.mismatch_rows else 0
 

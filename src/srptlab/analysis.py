@@ -3,11 +3,12 @@
 The claim table pairs each workload family with the closed-form makespans
 stated for it (ids T3.1..T3.5). A verification sweep runs SRPT's decision
 loop once per instance and reads the makespan off its last epoch. Placement
-never changes which jobs run, so no job is placed: the one makespan is
-reported under both migration policies. It is divided by McNaughton's
-zero-release optimum, which must match the indexed-round baseline, and
-everything is compared to the claimed formulas with integer/rational
-equality -- no floating point anywhere in a verdict.
+never changes which jobs run, so no job is placed and each instance gives
+one ReportRow; the emitters in reports.py write that row under each
+migration policy. The makespan is divided by McNaughton's zero-release
+optimum, which must match the indexed-round baseline, and everything is
+compared to the claimed formulas with integer/rational equality -- no
+floating point anywhere in a verdict.
 
 Known outcomes the discrepancy report (reports.py) documents rather than hides:
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .engine import Migration, _decisions
+from .engine import _decisions
 from .model import Instance, Rational, rational_of
 from .oracles import _indexed_round_makespan, mcnaughton
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
@@ -127,12 +128,12 @@ def theorem_spec(theorem_id: str) -> TheoremSpec:
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One measurement row: a (theorem variant, n, policy) cell with the
-    measured and claimed values plus a verdict per compared field."""
+    """One measured instance: a (theorem variant, n) cell with the measured
+    and claimed values plus a verdict per compared field. Both migration
+    policies share it, since placement changes no completion time."""
 
     theorem: str
     n: int
-    policy: str
     w_srpt_measured: int
     w_opt_measured: int
     cr_measured: Rational
@@ -180,7 +181,7 @@ class TheoremReport:
     def summary(self) -> str:
         bad = len(self.mismatch_rows)
         if bad:
-            return f"MISMATCH ({bad} of {len(self.rows)} rows)"
+            return f"MISMATCH ({bad} of {len(self.rows)} instances)"
         return PASS if self.rows else NOT_APPLICABLE
 
 
@@ -222,7 +223,7 @@ def measure(inst: Instance) -> tuple[int, int, Rational]:
 def _rows(
     label: str, class_specs, claim: TheoremSpec | None = None
 ) -> list[ReportRow]:
-    """Measure each instance once and emit one row per policy; claimed cells
+    """Measure each instance once and build one row for it; claimed cells
     stay empty (verdict N-A) when there is no claim. The claims are stated
     against the indexed-round baseline, ceil(n/m) * t, so an instance where
     it differs from McNaughton's optimum is refused rather than given another
@@ -245,8 +246,7 @@ def _rows(
             if claim is None
             else (claim.claimed_srpt(n), claim.claimed_opt(n), claim.claimed_cr(n))
         )
-        for policy in Migration:
-            rows.append(ReportRow(label, n, policy.value, *measured, *claimed))
+        rows.append(ReportRow(label, n, *measured, *claimed))
     return rows
 
 

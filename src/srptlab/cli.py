@@ -105,16 +105,16 @@ def _write_or_print(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
-def _print_and_dump(line: str, schedule, path: str | None) -> None:
-    """Print line, then write the schedule's CSV dump to path if one is given.
-    An invalid schedule is rejected with its violation list before anything
-    is printed, as render_gantt rejects it."""
-    violations = validate_schedule(schedule) if path else []
-    if violations:
-        raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
-    print(line)
+def _dump_and_print(line: str, schedule, path: str | None) -> None:
+    """Write the schedule's CSV dump to path if one is given, then print line.
+    An invalid schedule is rejected with its violation list, as render_gantt
+    rejects it; a rejected or failed dump prints nothing."""
     if path:
+        violations = validate_schedule(schedule)
+        if violations:
+            raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
         Path(path).write_text(schedule_to_csv(schedule), encoding="utf-8")
+    print(line)
 
 
 def _cmd_simulate(args) -> int:
@@ -124,7 +124,7 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--out writes a rendering; it needs --gantt ascii|svg")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
-    _print_and_dump(f"makespan {schedule.makespan}", schedule, args.dump)
+    _dump_and_print(f"makespan {schedule.makespan}", schedule, args.dump)
     if args.gantt:
         _write_or_print(render_gantt(schedule, args.gantt), args.out)
     return 0
@@ -156,7 +156,7 @@ def _cmd_opt(args) -> int:
     else:
         ceiling = replace(DEFAULT_CEILING, **bounds)
         result = brute_force_opt(inst, args.respect_releases, ceiling)
-    _print_and_dump(
+    _dump_and_print(
         f"{result.method.value} makespan {result.makespan}", result.schedule, args.dump
     )
     return 0
@@ -168,8 +168,8 @@ def _cmd_sweep(args) -> int:
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         m = n if args.m == "n" else args.m
-        measured = measure(generate(_family_spec(args, n, m)))
-        rows += [(args.class_id, n, m, p.value, *measured) for p in Migration]
+        inst = generate(_family_spec(args, n, m))
+        rows.append((args.class_id, n, m, *measure(inst)))
     _write_or_print(emit_sweep(rows, args.format), args.out)
     return 0
 

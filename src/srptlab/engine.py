@@ -90,9 +90,6 @@ class EngineTrace:
     def epochs(self) -> tuple[Epoch, ...]:
         return tuple(select_srpt(self.instance))
 
-    def epoch_times(self) -> tuple[int, ...]:
-        return tuple(e.time for e in self.epochs)
-
 
 def _decisions(
     inst: Instance,
@@ -223,12 +220,13 @@ def remaining_profile(trace: EngineTrace, t: int) -> dict[int, int]:
     """Remaining units per released unfinished job at epoch time t.
 
     t must be one of the trace's decision epochs; any other instant is
-    rejected because the scan list is only defined at decision points.
+    rejected because the scan list is only defined at decision points. The
+    log is read only up to the first epoch at or after t.
     """
-    epochs = trace.epochs
-    for epoch in epochs:
+    for epoch in select_srpt(trace.instance):
         if epoch.time == t:
             return dict(epoch.remaining)
-    raise ValueError(
-        f"time {t} is not a decision epoch; epochs are {[e.time for e in epochs]}"
-    )
+        if epoch.time > t:
+            break
+    times = [time for time, *_ in _decisions(trace.instance)]
+    raise ValueError(f"time {t} is not a decision epoch; epochs are {times}")

@@ -1,18 +1,15 @@
 """Every table srpt-lab writes: the verdict table (pinned CSV schema and an
 aligned text view), the measurement-only sweep table, and the discrepancy
 report. All of them go through one text-table function and the one CSV
-writer, files._csv_text."""
+writer, files._csv_text.
+
+A measured row stands for one instance. The migration policy changes no
+completion time, so this module alone writes each row once under each
+policy label."""
 
 from __future__ import annotations
 
-from .analysis import (
-    MISMATCH,
-    PASS,
-    ReportRow,
-    SweepReport,
-    TheoremReport,
-    theorem_spec,
-)
+from .analysis import MISMATCH, ReportRow, SweepReport, theorem_spec
 from .engine import Migration
 from .files import _csv_text
 from .model import Rational
@@ -58,11 +55,18 @@ def _text_table(header, body, indent: str = "", align=str.ljust) -> list[str]:
     return [line(header, str.ljust)] + [line(row, align) for row in body]
 
 
-def _emit(header, body, fmt: str) -> bytes:
+def _emit(header, rows, cells, fmt: str) -> bytes:
+    """The table of rows, each written once under each policy label in the
+    header's policy column; cells(row) gives the row's other cells, which
+    its lines share. The CSV is written as the lines are made."""
+    at = header.index("policy")
+    body = (
+        c[:at] + (p.value,) + c[at:] for c in map(cells, rows) for p in Migration
+    )
     if fmt == "csv":
         return _csv_text(header, body).encode("utf-8")
     if fmt == "text":
-        return ("\n".join(_text_table(header, body)) + "\n").encode("utf-8")
+        return ("\n".join(_text_table(header, list(body))) + "\n").encode("utf-8")
     raise ValueError(f"unknown format {fmt!r}; use 'text' or 'csv'")
 
 
@@ -73,7 +77,6 @@ def _cells(row: ReportRow) -> tuple[str, ...]:
     return (
         row.theorem,
         str(row.n),
-        row.policy,
         str(row.w_srpt_measured),
         opt(row.w_srpt_claimed),
         str(row.w_opt_measured),
@@ -86,37 +89,25 @@ def _cells(row: ReportRow) -> tuple[str, ...]:
     )
 
 
-def _rows_of(report) -> tuple[ReportRow, ...]:
-    if isinstance(report, (TheoremReport, SweepReport)):
-        return report.rows
-    return tuple(report)
-
-
 def emit_report(report, fmt: str = "text") -> bytes:
-    """Render a verdict table as bytes; fmt is "text" or "csv".
+    """Render a TheoremReport's or SweepReport's rows as bytes, each row
+    once per policy; fmt is "text" or "csv".
 
     Output is byte-deterministic: fixed column order, "\\n" line endings,
     empty cells for missing claimed values.
     """
-    return _emit(CSV_COLUMNS, [_cells(r) for r in _rows_of(report)], fmt)
+    return _emit(CSV_COLUMNS, report.rows, _cells, fmt)
+
+
+def _sweep_cells(row) -> tuple[str, ...]:
+    label, n, m, w_srpt, w_opt, cr = row
+    return tuple(map(str, (label, n, m, w_srpt, w_opt, cr.numerator, cr.denominator)))
 
 
 def emit_sweep(rows, fmt: str = "text") -> bytes:
-    """Render measurement-only sweep rows (class, n, m, policy, makespans, CR)."""
-    body = [
-        (
-            label,
-            str(n),
-            str(m),
-            policy,
-            str(w_srpt),
-            str(w_opt),
-            str(cr.numerator),
-            str(cr.denominator),
-        )
-        for (label, n, m, policy, w_srpt, w_opt, cr) in rows
-    ]
-    return _emit(SWEEP_COLUMNS, body, fmt)
+    """Render measurement-only sweep rows (class, n, m, makespans, CR), each
+    row once per policy."""
+    return _emit(SWEEP_COLUMNS, rows, _sweep_cells, fmt)
 
 
 def _format_ratio(r: Rational | None) -> str:
@@ -136,12 +127,13 @@ def discrepancy_report(sweep: SweepReport) -> str:
     """Consolidated text table of every point where the sweep's measurements
     disagree with a claimed formula.
 
-    Contains a row for every T3.1 n in the sweep (agree or differ) with both
-    policies and, where the instance fits the default search ceiling, the
-    exhaustive release-respecting optimum; an interpretation matrix for
-    T3.4; and a field-level listing of every mismatch in the sweep, in the
-    sweep's row order. Nothing is simulated again. A sweep without rows
-    gives an empty report.
+    Contains a row for every T3.1 n in the sweep (agree or differ) with its
+    one measured makespan under each policy label and, where the instance
+    fits the default search ceiling, the exhaustive release-respecting
+    optimum; an interpretation matrix for T3.4; and a field-level listing of
+    every mismatch in the sweep, in the sweep's row order and then per
+    policy. Nothing is simulated again. A sweep without rows gives an empty
+    report.
     """
     rows = sweep.rows
     ns = sorted({r.n for r in rows})
@@ -152,27 +144,22 @@ def discrepancy_report(sweep: SweepReport) -> str:
     lines = [title, "=" * len(title)]
 
     t31 = theorem_spec("T3.1")
-    t31_srpt: dict[int, dict[str, int]] = {}
-    for row in rows:
-        if row.theorem == t31.row_label():
-            t31_srpt.setdefault(row.n, {})[row.policy] = row.w_srpt_measured
+    t31_label = t31.row_label()
+    t31_srpt = {r.n: r.w_srpt_measured for r in rows if r.theorem == t31_label}
     if t31_srpt:
         lines.append("")
         lines.append("[T3.1] S1 with m=2: measured vs claimed w_SRPT (even n)")
         body = []
-        for n in sorted(t31_srpt):
-            per_policy = [t31_srpt[n][p.value] for p in Migration]
+        for n, w_srpt in sorted(t31_srpt.items()):
             inst = generate(t31.class_spec(n))
             try:
                 brute = str(brute_force_opt(inst, True, DEFAULT_CEILING).makespan)
             except SearchCeilingError:
                 brute = "-"
             claimed = t31.claimed_srpt(n)
-            status = "AGREE" if all(v == claimed for v in per_policy) else "DIFFER"
+            status = "AGREE" if w_srpt == claimed else "DIFFER"
             body.append(
-                [str(n)]
-                + [str(v) for v in per_policy]
-                + [brute, str(claimed), status]
+                [str(n)] + [str(w_srpt)] * len(Migration) + [brute, str(claimed), status]
             )
         header = ["n"] + [p.value for p in Migration] + [
             "brute-force(releases)",
@@ -185,37 +172,30 @@ def discrepancy_report(sweep: SweepReport) -> str:
 
     t34 = theorem_spec("T3.4")
     labels = [t34.row_label(i) for i in t34.interpretations]
-    verdicts: dict[tuple[int, str], set[str]] = {}
-    for row in rows:
-        if row.theorem in labels:
-            verdicts.setdefault((row.n, row.theorem), set()).add(row.verdict)
+    verdicts = {(r.n, r.theorem): r.verdict for r in rows if r.theorem in labels}
     if verdicts:
         lines.append("")
         lines.append(
             "[T3.4] S3 interpretation check (claimed w_SRPT=2n+1, w_OPT=n+2)"
         )
-        body = []
-        for n in sorted({n for n, _ in verdicts}):
-            cells = [str(n)]
-            for label in labels:
-                got = verdicts[(n, label)]
-                cells.append(MISMATCH if MISMATCH in got else PASS)
-            body.append(cells)
+        body = [
+            [str(n)] + [verdicts[(n, label)] for label in labels]
+            for n in sorted({n for n, _ in verdicts})
+        ]
         lines.extend(_text_table(["n"] + labels, body, "  ", str.rjust))
 
     lines.append("")
     lines.append("Field-level mismatches (all claims, both policies)")
     field_rows = []
     for row in rows:
-        for field_name, verdict, measured, claimed in (
+        fields = (
             ("w_srpt", row.verdict_srpt, str(row.w_srpt_measured), str(row.w_srpt_claimed)),
             ("w_opt", row.verdict_opt, str(row.w_opt_measured), str(row.w_opt_claimed)),
             ("cr", row.verdict_cr, _format_ratio(row.cr_measured), _format_ratio(row.cr_claimed)),
-        ):
-            if verdict == MISMATCH:
-                field_rows.append(
-                    [row.theorem, str(row.n), row.policy, field_name, measured, claimed]
-                )
+        )
+        mismatched = [(f, m, c) for f, verdict, m, c in fields if verdict == MISMATCH]
+        for p in Migration:
+            field_rows += [[row.theorem, str(row.n), p.value, *f] for f in mismatched]
     if field_rows:
         lines.extend(
             _text_table(

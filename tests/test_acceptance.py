@@ -160,13 +160,16 @@ def test_c5_claim_t31(sweep):
     spec = theorem_spec("T3.1")
     report = _report(sweep, "T3.1")
 
-    n2 = [r for r in report.rows if r.n == 2]
-    assert len(n2) == len(POLICIES)
-    for row in n2:
-        assert row.w_srpt_measured == 3
-        assert row.w_opt_measured == 2
-        assert row.cr_measured == Fraction(3, 2)
-        assert row.verdict == PASS
+    (row,) = [r for r in report.rows if r.n == 2]
+    assert row.w_srpt_measured == 3
+    assert row.w_opt_measured == 2
+    assert row.cr_measured == Fraction(3, 2)
+    assert row.verdict == PASS
+    csv_n2 = [
+        ln for ln in emit_report(report, "csv").decode().splitlines()
+        if ln.startswith("T3.1,2,")
+    ]
+    assert csv_n2 == [f"T3.1,2,{p.value},3,3,2,2,3,2,3,2,PASS" for p in POLICIES]
 
     assert all(bound_check(report, Fraction(3, 2)))
 

@@ -430,6 +430,22 @@ class TestSweep:
                 assert line in out.splitlines()
 
 
+    @pytest.mark.parametrize(
+        "golden, argv",
+        [
+            ("sweep_s5_n2_8", ["--class", "S5", "--n-min", "2", "--n-max", "8"]),
+            (
+                "sweep_s1_m2_n2_12",
+                ["--class", "S1", "--m", "2", "--n-min", "2", "--n-max", "12"],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("fmt, suffix", [("csv", ".csv"), ("text", ".txt")])
+    def test_table_matches_golden(self, capsys, golden, argv, fmt, suffix):
+        code, out, _ = run("sweep", *argv, "--format", fmt, capsys=capsys)
+        assert code == 0
+        assert out == (GOLDEN.parent / (golden + suffix)).read_text()
+
     @pytest.mark.parametrize("m", ["abc", "0", "-2"])
     def test_bad_machine_count_is_usage_error(self, capsys, monkeypatch, m):
         def refuse(*args, **kwargs):
@@ -493,6 +509,21 @@ class TestRender:
 
 
 class TestUsageAndErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--class", "S1", "--n", "2", "--m", "2"],
+            ["opt", "--method", "paper", "--class", "S1", "--n", "2", "--m", "2"],
+        ],
+    )
+    def test_dump_into_missing_directory_prints_no_result(self, tmp_path, capsys, argv):
+        dump = tmp_path / "missing" / "sched.csv"
+        code, out, err = run(*argv, "--dump", str(dump), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not dump.exists()
+
     def test_missing_input_is_usage_error(self, capsys):
         code, _, err = run("simulate", capsys=capsys)
         assert code == 1

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +41,7 @@ class TestSmallTraces:
             Segment(2, 1, 2, 3),
             Segment(2, 2, 1, 2),
         )
-        assert trace.epoch_times() == (0, 1, 2, 3)
+        assert tuple(e.time for e in trace.epochs) == (0, 1, 2, 3)
         assert trace.epochs[1].remaining == ((1, 1), (2, 2))
         assert trace.epochs[1].running == (1, 2)
         # After J1 completes only J2 runs; Segment(2, 1, 2, 3) above shows it
@@ -58,7 +60,7 @@ class TestSmallTraces:
         schedule, trace = simulate_srpt(inst)
         assert schedule.makespan == 7
         assert schedule.segments == (Segment(1, 1, 0, 7),)
-        assert trace.epoch_times() == (0, 7)
+        assert tuple(e.time for e in trace.epochs) == (0, 7)
 
     def test_s4_n2_makespan_and_segments(self):
         inst = generate(ClassSpec(ClassId.S4, n=2))
@@ -90,7 +92,7 @@ class TestSmallTraces:
         inst = Instance(jobs=(Job(1, 0, 2), Job(2, 5, 2)), machines=1)
         schedule, trace = simulate_srpt(inst)
         assert schedule.makespan == 7
-        assert trace.epoch_times() == (0, 2, 5, 7)
+        assert tuple(e.time for e in trace.epochs) == (0, 2, 5, 7)
         assert remaining_profile(trace, 2) == {}
         assert trace.epochs[1].running == ()
 
@@ -199,6 +201,29 @@ class TestRemainingProfile:
         schedule, trace = simulate_srpt(s1(2, 2))
         assert remaining_profile(trace, schedule.makespan) == {}
 
+    def test_reads_the_log_only_up_to_t(self, monkeypatch):
+        inst = generate(ClassSpec(ClassId.S5, n=8))
+        epochs = tuple(select_srpt(inst))
+        times = [e.time for e in epochs]
+        _, trace = simulate_srpt(inst)
+
+        def select_until(t):
+            def stand_in(instance):
+                for epoch in select_srpt(instance):
+                    yield epoch
+                    if epoch.time >= t:
+                        raise AssertionError(f"asked for the epoch after {t}")
+
+            return stand_in
+
+        monkeypatch.setattr(engine, "select_srpt", select_until(times[1]))
+        assert remaining_profile(trace, times[1]) == dict(epochs[1].remaining)
+        gap = next(t for t in range(times[-1]) if t not in times)
+        monkeypatch.setattr(engine, "select_srpt", select_until(gap))
+        message = f"time {gap} is not a decision epoch; epochs are {times}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            remaining_profile(trace, gap)
+
 
 class TestEmptyInstance:
     def test_instance_with_no_jobs_is_rejected_at_construction(self):
@@ -224,8 +249,8 @@ def test_epochs_are_exactly_arrivals_and_completions(inst):
     schedule, trace = simulate_srpt(inst)
     arrivals = {job.arrival for job in inst.jobs}
     completions = set(_completions(schedule).values())
-    assert set(trace.epoch_times()) == arrivals | completions
-    times = trace.epoch_times()
+    times = tuple(e.time for e in trace.epochs)
+    assert set(times) == arrivals | completions
     assert list(times) == sorted(set(times))
     assert times[-1] == schedule.makespan
 
