@@ -1,34 +1,34 @@
 #!/usr/bin/env python3
-"""Run the full default claim-verification suite and write the artifacts.
+"""Write the committed goldens out/verdicts.csv, out/verdicts.txt and
+out/discrepancies.txt by running `srpt-lab verify-theorems` over the default
+range once per table format.
 
-Produces out/verdicts.csv, out/verdicts.txt and out/discrepancies.txt, then
-prints the per-claim summaries. Exit code 2 signals that at least one
+Exits with the larger of the two runs' codes: 2 signals that at least one
 measurement disagrees with a claimed formula (the expected outcome for the
 default range, see README)."""
 
 import sys
 from pathlib import Path
 
-from srptlab import discrepancy_report, verify_all
-from srptlab.reports import emit_report
+from srptlab.cli import main as srpt_lab
 
-N_RANGE = range(2, 65)
+OUT = Path(__file__).resolve().parent.parent / "out"
 
 
 def main() -> int:
-    out_dir = Path(__file__).resolve().parent.parent / "out"
-    out_dir.mkdir(exist_ok=True)
-    sweep = verify_all(N_RANGE)
-    (out_dir / "verdicts.csv").write_bytes(emit_report(sweep, "csv"))
-    (out_dir / "verdicts.txt").write_bytes(emit_report(sweep, "text"))
-    (out_dir / "discrepancies.txt").write_text(
-        discrepancy_report(sweep), encoding="utf-8"
-    )
-    for report in sweep.reports:
-        print(f"{report.theorem_id}: {report.summary}")
-    print(f"S5 (no claim): {len(sweep.extra_rows)} measured instances")
-    print(f"artifacts in {out_dir}")
-    return 2 if sweep.mismatch_rows else 0
+    OUT.mkdir(exist_ok=True)
+    codes = [
+        srpt_lab(
+            [
+                "verify-theorems",
+                "--format", fmt,
+                "--out", str(OUT / f"verdicts.{ext}"),
+                "--discrepancies", str(OUT / "discrepancies.txt"),
+            ]
+        )
+        for fmt, ext in (("csv", "csv"), ("text", "txt"))
+    ]
+    return max(codes)
 
 
 if __name__ == "__main__":

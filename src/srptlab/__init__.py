@@ -6,9 +6,7 @@ from .analysis import (
     THEOREMS,
     ReportRow,
     SweepReport,
-    TheoremReport,
     TheoremSpec,
-    bound_check,
     competitive_ratio,
     theorem_spec,
     verify_all,
@@ -25,10 +23,8 @@ from .engine import (
 from .model import (
     Instance,
     Job,
-    Rational,
     Schedule,
     Segment,
-    rational_of,
     validate_schedule,
 )
 from .oracles import (
@@ -59,7 +55,6 @@ __all__ = [
     "OptMethod",
     "OptResult",
     "PolicyConfig",
-    "Rational",
     "ReportRow",
     "S3Interpretation",
     "Schedule",
@@ -68,16 +63,13 @@ __all__ = [
     "Segment",
     "SweepReport",
     "THEOREMS",
-    "TheoremReport",
     "TheoremSpec",
     "UnsupportedInstanceError",
-    "bound_check",
     "brute_force_opt",
     "competitive_ratio",
     "discrepancy_report",
     "generate",
     "mcnaughton",
-    "rational_of",
     "remaining_profile",
     "simulate_srpt",
     "theorem_spec",

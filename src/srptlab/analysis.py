@@ -22,10 +22,11 @@ Known outcomes the discrepancy report (reports.py) documents rather than hides:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .engine import _decisions
-from .model import Instance, Rational, rational_of
+from .model import Instance
 from .oracles import _indexed_round_makespan, mcnaughton
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
 
@@ -34,13 +35,13 @@ MISMATCH = "MISMATCH"
 NOT_APPLICABLE = "N-A"
 
 
-def competitive_ratio(srpt_makespan: int, opt_makespan: int) -> Rational:
+def competitive_ratio(srpt_makespan: int, opt_makespan: int) -> Fraction:
     """Exact ratio w_SRPT / w_OPT in lowest terms."""
     if opt_makespan < 1:
         raise ValueError(
             f"optimal makespan must be a positive integer, got {opt_makespan}"
         )
-    return rational_of(srpt_makespan, opt_makespan)
+    return Fraction(srpt_makespan, opt_makespan)
 
 
 @dataclass(frozen=True)
@@ -57,8 +58,8 @@ class TheoremSpec:
     claimed_opt: Callable[[int], int]
     interpretations: tuple[S3Interpretation | None, ...] = (None,)
 
-    def claimed_cr(self, n: int) -> Rational:
-        return rational_of(self.claimed_srpt(n), self.claimed_opt(n))
+    def claimed_cr(self, n: int) -> Fraction:
+        return Fraction(self.claimed_srpt(n), self.claimed_opt(n))
 
     def class_spec(self, n: int, interp: S3Interpretation | None = None) -> ClassSpec:
         m = self.machines if self.machines is not None else n
@@ -136,10 +137,10 @@ class ReportRow:
     n: int
     w_srpt_measured: int
     w_opt_measured: int
-    cr_measured: Rational
+    cr_measured: Fraction
     w_srpt_claimed: int | None = None
     w_opt_claimed: int | None = None
-    cr_claimed: Rational | None = None
+    cr_claimed: Fraction | None = None
 
     def _field_verdict(self, measured, claimed) -> str:
         if claimed is None:
@@ -169,44 +170,28 @@ class ReportRow:
 
 
 @dataclass(frozen=True)
-class TheoremReport:
-    theorem_id: str
+class SweepReport:
+    """A sweep's rows in table order: each claim's variants, then the
+    claimless S5 rows, whose claimed cells are empty (verdict N-A)."""
+
     rows: tuple[ReportRow, ...]
 
     @property
     def mismatch_rows(self) -> tuple[ReportRow, ...]:
         return tuple(r for r in self.rows if r.verdict == MISMATCH)
 
-    @property
-    def summary(self) -> str:
-        bad = len(self.mismatch_rows)
+    def summary(self, spec: TheoremSpec) -> str:
+        """The claim's verdict over its rows, every reading included: PASS,
+        N-A when no n applies, or MISMATCH with the instances that fail."""
+        labels = {spec.row_label(i) for i in spec.interpretations}
+        rows = [r for r in self.rows if r.theorem in labels]
+        bad = sum(r.verdict == MISMATCH for r in rows)
         if bad:
-            return f"MISMATCH ({bad} of {len(self.rows)} instances)"
-        return PASS if self.rows else NOT_APPLICABLE
+            return f"{MISMATCH} ({bad} of {len(rows)} instances)"
+        return PASS if rows else NOT_APPLICABLE
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """All theorem reports plus measured-only rows (the S5 family has no
-    claim, so its rows carry empty claimed cells and an N-A verdict)."""
-
-    reports: tuple[TheoremReport, ...]
-    extra_rows: tuple[ReportRow, ...] = ()
-
-    @property
-    def rows(self) -> tuple[ReportRow, ...]:
-        out: list[ReportRow] = []
-        for rep in self.reports:
-            out.extend(rep.rows)
-        out.extend(self.extra_rows)
-        return tuple(out)
-
-    @property
-    def mismatch_rows(self) -> tuple[ReportRow, ...]:
-        return tuple(r for r in self.rows if r.verdict == MISMATCH)
-
-
-def measure(inst: Instance) -> tuple[int, int, Rational]:
+def measure(inst: Instance) -> tuple[int, int, Fraction]:
     """(w_srpt, w_opt, ratio) for one instance, without placing any job.
 
     w_srpt is the time of the decision loop's last epoch, which sits at the
@@ -250,7 +235,7 @@ def _rows(
     return rows
 
 
-def verify_theorem(spec: TheoremSpec, ns) -> TheoremReport:
+def verify_theorem(spec: TheoremSpec, ns) -> SweepReport:
     """Sweep one claim over the applicable n values.
 
     Non-applicable n are skipped (T3.1 is stated for even n only). Every
@@ -262,18 +247,12 @@ def verify_theorem(spec: TheoremSpec, ns) -> TheoremReport:
     for interp in spec.interpretations:
         specs = [spec.class_spec(n, interp) for n in ns]
         rows += _rows(spec.row_label(interp), specs, spec)
-    return TheoremReport(theorem_id=spec.theorem_id, rows=tuple(rows))
+    return SweepReport(tuple(rows))
 
 
 def verify_all(ns) -> SweepReport:
     """The full default suite: every claim plus the claimless S5 family."""
     ns = list(ns)
-    return SweepReport(
-        reports=tuple(verify_theorem(spec, ns) for spec in THEOREMS),
-        extra_rows=tuple(_rows("S5", [ClassSpec(ClassId.S5, n=n) for n in ns])),
-    )
-
-
-def bound_check(report: TheoremReport, bound: Rational) -> tuple[bool, ...]:
-    """Exact per-row test of measured CR <= bound."""
-    return tuple(row.cr_measured <= bound for row in report.rows)
+    rows = [row for spec in THEOREMS for row in verify_theorem(spec, ns).rows]
+    rows += _rows("S5", [ClassSpec(ClassId.S5, n=n) for n in ns])
+    return SweepReport(tuple(rows))

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import measure, verify_all
+from .analysis import THEOREMS, measure, verify_all
 from .engine import Migration, PolicyConfig, simulate_srpt
 from .files import (
     check_constraints,
@@ -105,6 +105,12 @@ def _write_or_print(data: bytes, out: str | None) -> None:
         sys.stdout.write(data.decode("utf-8"))
 
 
+def _refuse_one_file(a: str, b: str, flags: str) -> None:
+    """Two outputs that name one file would overwrite each other."""
+    if Path(a).resolve() == Path(b).resolve():
+        raise _UsageError(f"{flags} name the same file")
+
+
 def _dump_and_print(line: str, schedule, path: str | None) -> None:
     """Write the schedule's CSV dump to path if one is given, then print line.
     An invalid schedule is rejected with its violation list, as render_gantt
@@ -122,6 +128,8 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--gantt svg needs --out PATH")
     if args.out and not args.gantt:
         raise _UsageError("--out writes a rendering; it needs --gantt ascii|svg")
+    if args.dump and args.out:
+        _refuse_one_file(args.dump, args.out, "--dump and --out")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
     _dump_and_print(f"makespan {schedule.makespan}", schedule, args.dump)
@@ -186,8 +194,7 @@ def _cmd_verify(args) -> int:
             if args.discrepancies
             else out.with_name(out.stem + "-discrepancies.txt")
         )
-        if disc_path.resolve() == out.resolve():
-            raise _UsageError("--out and --discrepancies name the same file")
+        _refuse_one_file(out, disc_path, "--out and --discrepancies")
     sweep = verify_all(range(args.n_min, args.n_max + 1))
     table = emit_report(sweep, args.format)
     disc = discrepancy_report(sweep).encode("utf-8")
@@ -199,10 +206,9 @@ def _cmd_verify(args) -> int:
         sys.stdout.write(table.decode("utf-8"))
         sys.stdout.write("\n")
         sys.stdout.write(disc.decode("utf-8"))
-    mismatches = len(sweep.mismatch_rows)
-    for report in sweep.reports:
-        print(f"{report.theorem_id}: {report.summary}", file=sys.stderr)
-    return 2 if mismatches else 0
+    for spec in THEOREMS:
+        print(f"{spec.theorem_id}: {sweep.summary(spec)}", file=sys.stderr)
+    return 2 if sweep.mismatch_rows else 0
 
 
 def _cmd_render(args) -> int:
@@ -218,13 +224,22 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
+
+
 def _sweep_machines(text: str):
     """sweep --m: 'n' or a positive integer."""
     if text == "n":
         return text
-    if text.isdecimal() and int(text) >= 1:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"want 'n' or a positive integer, got {text!r}")
+    try:
+        return _positive_int(text)
+    except argparse.ArgumentTypeError:
+        raise argparse.ArgumentTypeError(
+            f"want 'n' or a positive integer, got {text!r}"
+        ) from None
 
 
 def build_parser() -> _Parser:
@@ -267,7 +282,9 @@ def build_parser() -> _Parser:
     )
     for flag in ("--ceiling-jobs", "--ceiling-machines", "--ceiling-work"):
         p_opt.add_argument(
-            flag, type=int, help="brute only: override this search-ceiling bound"
+            flag,
+            type=_positive_int,
+            help="brute only: override this search-ceiling bound",
         )
     p_opt.add_argument("--dump", help="write the witness schedule as CSV segments")
     p_opt.set_defaults(func=_cmd_opt)

@@ -1,4 +1,4 @@
-"""Domain model: jobs, instances, schedules, exact rationals, schedule validation.
+"""Domain model: jobs, instances, schedules, schedule validation.
 
 All times are non-negative integers. Execution segments are half-open
 intervals [start, end), so a segment ending at t and another starting at t
@@ -8,21 +8,9 @@ on the same machine never count as overlapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
-
-# Competitive ratios are exact ratios of integers; Fraction already stores
-# lowest terms with a positive denominator, which is the whole contract.
-Rational = Fraction
-
-
-def rational_of(numer: int, denom: int) -> Rational:
-    """Exact ratio in lowest terms. The denominator must be positive."""
-    if denom <= 0:
-        raise ValueError(f"denominator must be a positive integer, got {denom}")
-    return Fraction(numer, denom)
 
 
 class _JobFields(NamedTuple):

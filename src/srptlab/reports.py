@@ -9,10 +9,11 @@ policy label."""
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .analysis import MISMATCH, ReportRow, SweepReport, theorem_spec
 from .engine import Migration
 from .files import _csv_text
-from .model import Rational
 from .oracles import DEFAULT_CEILING, SearchCeilingError, brute_force_opt
 from .workloads import generate
 
@@ -90,8 +91,8 @@ def _cells(row: ReportRow) -> tuple[str, ...]:
 
 
 def emit_report(report, fmt: str = "text") -> bytes:
-    """Render a TheoremReport's or SweepReport's rows as bytes, each row
-    once per policy; fmt is "text" or "csv".
+    """Render a SweepReport's rows as bytes, each row once per policy; fmt
+    is "text" or "csv".
 
     Output is byte-deterministic: fixed column order, "\\n" line endings,
     empty cells for missing claimed values.
@@ -110,7 +111,7 @@ def emit_sweep(rows, fmt: str = "text") -> bytes:
     return _emit(SWEEP_COLUMNS, rows, _sweep_cells, fmt)
 
 
-def _format_ratio(r: Rational | None) -> str:
+def _format_ratio(r: Fraction | None) -> str:
     if r is None:
         return "-"
     return f"{r.numerator}/{r.denominator}"

@@ -10,7 +10,6 @@ from srptlab import (
     ClassSpec,
     Migration,
     PolicyConfig,
-    bound_check,
     competitive_ratio,
     discrepancy_report,
     generate,
@@ -22,7 +21,7 @@ from srptlab import (
     zero_release_opt,
 )
 from srptlab import analysis, engine
-from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, TheoremReport
+from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, SweepReport
 from srptlab.cli import main
 from srptlab.engine import place, select_srpt
 from srptlab.reports import emit_report
@@ -82,14 +81,15 @@ class TestClaimedFormulaIdentities:
 
 class TestVerifyTheorem:
     def test_t32_small_sweep_all_pass(self):
-        report = verify_theorem(theorem_spec("T3.2"), range(2, 11))
+        spec = theorem_spec("T3.2")
+        report = verify_theorem(spec, range(2, 11))
         assert report.rows
         for row in report.rows:
             assert row.w_srpt_measured == 2 * row.n - 1
             assert row.w_opt_measured == row.n
             assert row.cr_measured == Fraction(2 * row.n - 1, row.n)
             assert row.verdict == PASS
-        assert report.summary == PASS
+        assert report.summary(spec) == PASS
 
     def test_t35_small_sweep_all_pass(self):
         report = verify_theorem(theorem_spec("T3.5"), range(2, 11))
@@ -111,9 +111,10 @@ class TestVerifyTheorem:
         assert all(r.verdict_opt == PASS for r in report.rows)
 
     def test_t31_skips_odd_n(self):
-        report = verify_theorem(theorem_spec("T3.1"), [3, 5])
+        spec = theorem_spec("T3.1")
+        report = verify_theorem(spec, [3, 5])
         assert report.rows == ()
-        assert report.summary == NOT_APPLICABLE
+        assert report.summary(spec) == NOT_APPLICABLE
 
     def test_t34_names_the_passing_interpretation(self):
         report = verify_theorem(theorem_spec("T3.4"), [2, 3])
@@ -191,22 +192,37 @@ class TestMeasure:
 class TestBoundCheck:
     def test_t31_rows_stay_under_three_halves(self):
         report = verify_theorem(theorem_spec("T3.1"), range(2, 21))
-        assert all(bound_check(report, Fraction(3, 2)))
+        assert all(row.cr_measured <= Fraction(3, 2) for row in report.rows)
 
-    def test_explicit_rows(self):
-        def row(cr):
-            return ReportRow(
-                theorem="X",
-                n=1,
-                w_srpt_measured=1,
-                w_opt_measured=1,
-                cr_measured=cr,
+
+class TestSweepReport:
+    @staticmethod
+    def row(theorem, w_srpt_claimed=None):
+        """Measured 3 against OPT 2; claimed w_srpt_claimed against 2."""
+        claimed = ()
+        if w_srpt_claimed is not None:
+            claimed = (w_srpt_claimed, 2, Fraction(w_srpt_claimed, 2))
+        return ReportRow(theorem, 2, 3, 2, Fraction(3, 2), *claimed)
+
+    def test_summary_counts_the_claims_mismatching_instances(self):
+        report = SweepReport(
+            (
+                self.row("T3.4/n+2", 3),
+                self.row("T3.4/2n", 4),
+                self.row("T3.4/2n", 5),
+                self.row("T3.2", 4),
+                self.row("S5"),
             )
-
-        report = TheoremReport(
-            theorem_id="X", rows=(row(Fraction(1, 1)), row(Fraction(2, 1)))
         )
-        assert bound_check(report, Fraction(3, 2)) == (True, False)
+        assert report.summary(theorem_spec("T3.4")) == "MISMATCH (2 of 3 instances)"
+        assert report.summary(theorem_spec("T3.2")) == "MISMATCH (1 of 1 instances)"
+        assert report.summary(theorem_spec("T3.5")) == NOT_APPLICABLE
+        assert [r.theorem for r in report.mismatch_rows] == ["T3.4/2n", "T3.4/2n", "T3.2"]
+
+    def test_summary_passes_when_every_row_agrees(self):
+        report = SweepReport((self.row("T3.2", 3), self.row("S5")))
+        assert report.summary(theorem_spec("T3.2")) == PASS
+        assert report.mismatch_rows == ()
 
 
 class TestDiscrepancyReport:

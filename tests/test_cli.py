@@ -1,4 +1,5 @@
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -139,6 +140,29 @@ class TestSimulate:
         assert out == ""
         assert not dump.exists()
         assert not chart.exists()
+
+    @pytest.mark.parametrize("spelling", ["same", "dotted"])
+    def test_dump_and_chart_into_one_file_is_refused(
+        self, tmp_path, capsys, monkeypatch, spelling
+    ):
+        # Refused before the instance is loaded: the chart would overwrite
+        # the dump.
+        def refuse(*args, **kwargs):
+            raise AssertionError("instance loaded")
+
+        monkeypatch.setattr(cli, "_load_instance", refuse)
+        dump = tmp_path / "f.txt"
+        chart = dump if spelling == "same" else tmp_path / "." / "f.txt"
+        code, out, err = run(
+            "simulate", "--class", "S1", "--n", "2", "--m", "2",
+            "--dump", str(dump), "--gantt", "ascii", "--out", str(chart),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "same file" in err
+        assert out == ""
+        assert not dump.exists()
 
     def test_constraint_breach_is_input_error(self, capsys):
         code, _, err = run(
@@ -340,8 +364,46 @@ class TestOpt:
         assert "--method brute" in err
         assert "makespan" not in out
 
+    @pytest.mark.parametrize(
+        "flag", ["--ceiling-jobs", "--ceiling-machines", "--ceiling-work"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-1", "x"])
+    def test_ceiling_flags_must_be_positive(self, tmp_path, capsys, flag, value):
+        # A parse-time usage error: the instance file does not exist.
+        code, out, err = run(
+            "opt", "--method", "brute", flag, value, "--in", str(tmp_path / "none.txt"),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert f"usage error: argument {flag}: want a positive integer" in err
+        assert out == ""
+
+
+DEFAULT_SUMMARY = [
+    "T3.1: MISMATCH (31 of 32 instances)",
+    "T3.2: PASS",
+    "T3.3: PASS",
+    "T3.4: MISMATCH (62 of 126 instances)",
+    "T3.5: PASS",
+]
+
 
 class TestVerify:
+    def test_default_range_summary(self, tmp_path, capsys):
+        out = tmp_path / "v.csv"
+        code, _, err = run(
+            "verify-theorems", "--format", "csv", "--out", str(out), capsys=capsys
+        )
+        assert code == 2
+        assert err.splitlines() == DEFAULT_SUMMARY
+
+    def test_claim_without_applicable_n_is_not_applicable(self, capsys):
+        code, _, err = run(
+            "verify-theorems", "--n-min", "3", "--n-max", "3", capsys=capsys
+        )
+        assert code == 2
+        assert err.splitlines()[0] == "T3.1: N-A"
+
     def test_small_range_all_pass_exits_zero(self, capsys):
         code, out, _ = run("verify-theorems", "--n-max", "2", capsys=capsys)
         assert code == 0
@@ -537,6 +599,30 @@ class TestUsageAndErrors:
         code, _, err = run("simulate", "--in", "/nonexistent/x.yaml", capsys=capsys)
         assert code == 1
         assert "error" in err
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """README's `$ srpt-lab ...` examples: (argv, the output printed below)."""
+    lines = (SRC.parent / "README.md").read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ srpt-lab "):
+            output = []
+            for out_line in lines[i + 1 :]:
+                if not out_line or out_line.startswith("```"):
+                    break
+                output.append(out_line + "\n")
+            examples.append((shlex.split(line)[2:], "".join(output)))
+    return examples
+
+
+def test_readme_examples_print_what_readme_shows(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 2
+    for argv, expected in examples:
+        code, out, _ = run(*argv, capsys=capsys)
+        assert code == 0
+        assert out == expected
 
 
 def _child_env() -> dict:

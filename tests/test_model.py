@@ -10,37 +10,39 @@ from srptlab import (
     Job,
     Schedule,
     Segment,
-    rational_of,
+    competitive_ratio,
     validate_schedule,
 )
 from srptlab import model
 
 
 class TestRationalOf:
+    """competitive_ratio is the package's one constructor of an exact ratio."""
+
     def test_reduces_to_lowest_terms(self):
-        r = rational_of(10, 8)
+        r = competitive_ratio(10, 8)
         assert (r.numerator, r.denominator) == (5, 4)
 
     def test_already_reduced(self):
-        r = rational_of(3, 2)
+        r = competitive_ratio(3, 2)
         assert (r.numerator, r.denominator) == (3, 2)
 
     def test_identity(self):
-        r = rational_of(4, 4)
+        r = competitive_ratio(4, 4)
         assert (r.numerator, r.denominator) == (1, 1)
 
     @pytest.mark.parametrize("denom", [0, -1, -8])
     def test_rejects_non_positive_denominator(self, denom):
         with pytest.raises(ValueError):
-            rational_of(3, denom)
+            competitive_ratio(3, denom)
 
     @given(a=st.integers(-200, 200), b=st.integers(1, 200), k=st.integers(1, 50))
     def test_scaling_invariance(self, a, b, k):
-        assert rational_of(a, b) == rational_of(k * a, k * b)
+        assert competitive_ratio(a, b) == competitive_ratio(k * a, k * b)
 
     @given(a=st.integers(-200, 200), b=st.integers(1, 200))
     def test_lowest_terms_and_positive_denominator(self, a, b):
-        r = rational_of(a, b)
+        r = competitive_ratio(a, b)
         assert r.denominator > 0
         assert math.gcd(r.numerator, r.denominator) == 1
 
@@ -51,7 +53,7 @@ class TestRationalOf:
         d=st.integers(1, 50),
     )
     def test_equality_is_cross_multiplication(self, a, b, c, d):
-        assert (rational_of(a, b) == rational_of(c, d)) == (a * d == c * b)
+        assert (competitive_ratio(a, b) == competitive_ratio(c, d)) == (a * d == c * b)
 
 
 class TestJobAndInstance:

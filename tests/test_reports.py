@@ -1,7 +1,7 @@
 import pytest
 
 from srptlab import theorem_spec, verify_all, verify_theorem
-from srptlab.analysis import SweepReport, TheoremReport
+from srptlab.analysis import SweepReport
 from srptlab.reports import CSV_COLUMNS, emit_report, emit_sweep
 
 EXPECTED_HEADER = (
@@ -13,7 +13,7 @@ EXPECTED_HEADER = (
 
 def test_csv_header_is_pinned():
     assert ",".join(CSV_COLUMNS) == EXPECTED_HEADER
-    data = emit_report(TheoremReport(theorem_id="T3.2", rows=()), "csv")
+    data = emit_report(SweepReport(()), "csv")
     assert data == (EXPECTED_HEADER + "\n").encode()
 
 
@@ -60,7 +60,7 @@ def test_emit_is_byte_deterministic():
 
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        emit_report(SweepReport(reports=()), "html")
+        emit_report(SweepReport(()), "html")
 
 
 def test_emit_sweep_formats():
