@@ -29,7 +29,6 @@ from .model import (
 )
 from .oracles import (
     DEFAULT_CEILING,
-    OptMethod,
     OptResult,
     SearchCeiling,
     SearchCeilingError,
@@ -52,7 +51,6 @@ __all__ = [
     "Instance",
     "Job",
     "Migration",
-    "OptMethod",
     "OptResult",
     "PolicyConfig",
     "ReportRow",

@@ -15,12 +15,7 @@ from pathlib import Path
 
 from .analysis import THEOREMS, measure, verify_all
 from .engine import Migration, PolicyConfig, simulate_srpt
-from .files import (
-    check_constraints,
-    parse_instance,
-    schedule_from_csv,
-    schedule_to_csv,
-)
+from .files import parse_instance, schedule_from_csv, schedule_to_csv
 from .gantt import render_gantt
 from .model import Instance, validate_schedule
 from .oracles import DEFAULT_CEILING, brute_force_opt, mcnaughton, zero_release_opt
@@ -93,8 +88,12 @@ def _load_instance(args) -> Instance:
         if args.n is None:
             raise _UsageError("--class needs --n")
         inst = generate(_family_spec(args, args.n, args.m))
-    if not args.no_enforce_constraints:
-        check_constraints(inst)
+    violations = [] if args.no_enforce_constraints else inst.constraint_violations()
+    if violations:
+        raise ValueError(
+            "; ".join(violations)
+            + " -- pass --no-enforce-constraints to schedule it anyway"
+        )
     return inst
 
 
@@ -132,9 +131,14 @@ def _cmd_simulate(args) -> int:
         _refuse_one_file(args.dump, args.out, "--dump and --out")
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
+    # A chart that is refused or cannot be written leaves stdout empty and
+    # the dump unwritten.
+    chart = render_gantt(schedule, args.gantt) if args.gantt else b""
+    if args.out:
+        Path(args.out).write_bytes(chart)
     _dump_and_print(f"makespan {schedule.makespan}", schedule, args.dump)
-    if args.gantt:
-        _write_or_print(render_gantt(schedule, args.gantt), args.out)
+    if not args.out:
+        sys.stdout.write(chart.decode("utf-8"))
     return 0
 
 
@@ -158,15 +162,18 @@ def _cmd_opt(args) -> int:
         )
     inst = _load_instance(args)
     if args.method == "paper":
-        result = zero_release_opt(inst)
+        label, result = "paper-opt", zero_release_opt(inst)
     elif args.method == "mcnaughton":
-        result = mcnaughton(inst)
+        label, result = "mcnaughton", mcnaughton(inst)
     else:
         ceiling = replace(DEFAULT_CEILING, **bounds)
         result = brute_force_opt(inst, args.respect_releases, ceiling)
-    _dump_and_print(
-        f"{result.method.value} makespan {result.makespan}", result.schedule, args.dump
-    )
+        label = (
+            "brute-force-with-releases"
+            if args.respect_releases
+            else "brute-force-zero-release"
+        )
+    _dump_and_print(f"{label} makespan {result.makespan}", result.schedule, args.dump)
     return 0
 
 
@@ -195,6 +202,9 @@ def _cmd_verify(args) -> int:
             else out.with_name(out.stem + "-discrepancies.txt")
         )
         _refuse_one_file(out, disc_path, "--out and --discrepancies")
+        for path in (out, disc_path):
+            if not path.parent.is_dir():
+                raise _UsageError(f"{path}: no such directory {path.parent}")
     sweep = verify_all(range(args.n_min, args.n_max + 1))
     table = emit_report(sweep, args.format)
     disc = discrepancy_report(sweep).encode("utf-8")

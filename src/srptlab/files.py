@@ -29,36 +29,23 @@ class ParseError(ValueError):
     """Malformed instance document; carries line/column when known."""
 
 
-class ConstraintError(ValueError):
-    """Instance breaches the model constraints (n >= m, t >= m)."""
-
-
 _CLASS_KEYS = {"class", "n", "m", "s3_interpretation", "processing_override"}
 _INSTANCE_KEYS = {"jobs", "machines"}
 _JOB_KEYS = {"id", "arrival", "processing"}
 
 
-def check_constraints(inst: Instance) -> None:
-    violations = inst.constraint_violations()
-    if violations:
-        raise ConstraintError(
-            "; ".join(violations)
-            + " -- pass --no-enforce-constraints to schedule it anyway"
-        )
-
-
-def _require_int(value, what: str, minimum: int | None = None) -> int:
+def _require_int(value, what: str) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ParseError(f"{what} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ParseError(f"{what} must be >= {minimum}, got {value}")
     return value
 
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; a class stanza is generated.
 
-    Model constraints are not checked here: check_constraints does that.
+    Only the document's shape is checked here. Job, Instance and ClassSpec
+    check the values, and their ValueErrors are raised again as ParseError.
+    The model constraints (n >= m, t >= m) are not checked.
     """
     # Imported here so that commands which read no instance file skip it.
     import yaml
@@ -82,11 +69,14 @@ def parse_instance(text: str) -> Instance:
     has_jobs = "jobs" in doc
     if has_class and has_jobs:
         raise ParseError("give either a class stanza or an explicit job list, not both")
-    if has_class:
-        return generate(_parse_class_stanza(doc))
-    if has_jobs:
-        return _parse_job_list(doc)
-    raise ParseError("instance document needs a 'class' or a 'jobs' key")
+    if not (has_class or has_jobs):
+        raise ParseError("instance document needs a 'class' or a 'jobs' key")
+    try:
+        return generate(_parse_class_stanza(doc)) if has_class else _parse_job_list(doc)
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise ParseError(str(exc)) from exc
 
 
 def _parse_class_stanza(doc: dict) -> ClassSpec:
@@ -95,22 +85,17 @@ def _parse_class_stanza(doc: dict) -> ClassSpec:
         raise ParseError(f"unknown class stanza keys: {sorted(unknown)}")
     if "n" not in doc:
         raise ParseError("class stanza needs 'n'")
-    try:
-        return ClassSpec(
-            class_id=doc["class"],
-            n=_require_int(doc["n"], "n", 1),
-            m=None if doc.get("m") is None else _require_int(doc["m"], "m", 1),
-            processing_override=(
-                None
-                if doc.get("processing_override") is None
-                else _require_int(doc["processing_override"], "processing_override", 1)
-            ),
-            s3_interpretation=doc.get("s3_interpretation"),
-        )
-    except ValueError as exc:
-        if isinstance(exc, ParseError):
-            raise
-        raise ParseError(str(exc))
+    m = doc.get("m")
+    override = doc.get("processing_override")
+    return ClassSpec(
+        class_id=doc["class"],
+        n=_require_int(doc["n"], "n"),
+        m=None if m is None else _require_int(m, "m"),
+        processing_override=(
+            None if override is None else _require_int(override, "processing_override")
+        ),
+        s3_interpretation=doc.get("s3_interpretation"),
+    )
 
 
 def _parse_job_list(doc: dict) -> Instance:
@@ -119,17 +104,16 @@ def _parse_job_list(doc: dict) -> Instance:
         raise ParseError(f"unknown instance keys: {sorted(unknown)}")
     if "machines" not in doc:
         raise ParseError("explicit instance needs 'machines'")
-    machines = _require_int(doc["machines"], "machines", 1)
+    machines = _require_int(doc["machines"], "machines")
     raw_jobs = doc["jobs"]
-    if not isinstance(raw_jobs, list) or not raw_jobs:
-        raise ParseError("'jobs' must be a non-empty list")
+    if not isinstance(raw_jobs, list):
+        raise ParseError(f"'jobs' must be a list, got {raw_jobs!r}")
 
     with_ids = [isinstance(j, dict) and "id" in j for j in raw_jobs]
     if any(with_ids) and not all(with_ids):
         raise ParseError("either give every job an id or none (ids default to 1..n)")
 
     jobs = []
-    seen_ids = set()
     for pos, raw in enumerate(raw_jobs, start=1):
         if not isinstance(raw, dict):
             raise ParseError(f"job #{pos} must be a mapping, got {raw!r}")
@@ -139,26 +123,14 @@ def _parse_job_list(doc: dict) -> Instance:
         for key in ("arrival", "processing"):
             if key not in raw:
                 raise ParseError(f"job #{pos} needs '{key}'")
-        job_id = _require_int(raw["id"], f"job #{pos} id", 1) if "id" in raw else pos
-        if job_id in seen_ids:
-            raise ParseError(f"duplicate job id {job_id}")
-        seen_ids.add(job_id)
-        try:
-            jobs.append(
-                Job(
-                    id=job_id,
-                    arrival=_require_int(raw["arrival"], f"job #{pos} arrival"),
-                    processing=_require_int(raw["processing"], f"job #{pos} processing"),
-                )
+        jobs.append(
+            Job(
+                id=_require_int(raw["id"], f"job #{pos} id") if "id" in raw else pos,
+                arrival=_require_int(raw["arrival"], f"job #{pos} arrival"),
+                processing=_require_int(raw["processing"], f"job #{pos} processing"),
             )
-        except ValueError as exc:
-            if isinstance(exc, ParseError):
-                raise
-            raise ParseError(str(exc))
-    try:
-        return Instance(jobs=tuple(jobs), machines=machines)
-    except ValueError as exc:
-        raise ParseError(str(exc))
+        )
+    return Instance(jobs=tuple(jobs), machines=machines)
 
 
 SCHEDULE_COLUMNS = ("job", "machine", "start", "end")

@@ -19,22 +19,13 @@ Three routes, deliberately independent of the online simulator:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .model import Instance, Schedule, Segment
-
-
-class OptMethod(str, Enum):
-    PAPER_OPT = "paper-opt"
-    MCNAUGHTON = "mcnaughton"
-    BRUTE_FORCE_ZERO_RELEASE = "brute-force-zero-release"
-    BRUTE_FORCE_WITH_RELEASES = "brute-force-with-releases"
 
 
 @dataclass(frozen=True)
 class OptResult:
     makespan: int
-    method: OptMethod
     schedule: Schedule | None = None
 
 
@@ -94,18 +85,14 @@ def zero_release_opt(inst: Instance) -> OptResult:
         machine = (job.id - 1) % m + 1
         segments.append(Segment(job.id, machine, (round_no - 1) * t, round_no * t))
     schedule = Schedule.from_segments(offline, segments)
-    return OptResult(makespan=makespan, method=OptMethod.PAPER_OPT, schedule=schedule)
+    return OptResult(makespan=makespan, schedule=schedule)
 
 
 def mcnaughton(inst: Instance) -> OptResult:
     """Preemptive zero-release optimum: max(longest job, ceil(total/m))."""
     total = sum(job.processing for job in inst.jobs)
     longest = max(job.processing for job in inst.jobs)
-    return OptResult(
-        makespan=max(longest, _ceil_div(total, inst.machines)),
-        method=OptMethod.MCNAUGHTON,
-        schedule=None,
-    )
+    return OptResult(makespan=max(longest, _ceil_div(total, inst.machines)))
 
 
 def _grouped(jobs: dict[int, tuple[int, int]]) -> tuple:
@@ -185,13 +172,7 @@ def brute_force_opt(
     for target in range(lower, horizon + 1):
         steps = _search_deadline(0, start, m, target, set())
         if steps is not None:
-            schedule = _witness(base, steps)
-            method = (
-                OptMethod.BRUTE_FORCE_WITH_RELEASES
-                if respect_releases
-                else OptMethod.BRUTE_FORCE_ZERO_RELEASE
-            )
-            return OptResult(makespan=target, method=method, schedule=schedule)
+            return OptResult(makespan=target, schedule=_witness(base, steps))
     raise AssertionError("unreachable: the serial schedule always fits the horizon")
 
 

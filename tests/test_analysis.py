@@ -4,10 +4,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from _strategies import instances
 from srptlab import (
     ClassId,
     ClassSpec,
+    Instance,
+    Job,
     Migration,
     PolicyConfig,
     competitive_ratio,
@@ -187,6 +192,40 @@ class TestMeasure:
             ["sweep", "--class", "S5", "--n-min", "2", "--n-max", "4", "--format", "csv"]
         ) == 0
         assert capsys.readouterr().out.splitlines() == sweep
+
+
+class TestClosedForms:
+    """Exact makespans and ratios that hold for every size, so each one is
+    a gate rather than a sample."""
+
+    @given(n=st.integers(1, 60), m=st.integers(1, 20), p=st.integers(1, 40))
+    @example(n=7, m=5, p=2)  # p < m
+    @settings(max_examples=300)
+    def test_equal_jobs_released_unit_apart(self, n, m, p):
+        # SRPT never preempts here, so it is FIFO list scheduling: with
+        # n - 1 = K*m + R, the last job starts when its machine frees up at
+        # R + K*p, or at its release n - 1 if that is later.
+        spec = ClassSpec(ClassId.PARAMETRIC, n, m=m, processing_override=p)
+        k, r = divmod(n - 1, m)
+        w_srpt, _, _ = analysis.measure(generate(spec))
+        assert w_srpt == max(n - 1 + p, r + (k + 1) * p)
+
+    def test_graham_family_attains_two_minus_one_over_m(self):
+        # m jobs of length m - 1 and one of length m, all released at 0:
+        # SRPT runs the short ones first and ends at 2m - 1 against m.
+        for m in range(2, 65):
+            jobs = [Job(i, 0, m - 1) for i in range(1, m + 1)] + [Job(m + 1, 0, m)]
+            w_srpt, w_opt, cr = analysis.measure(Instance(tuple(jobs), m))
+            assert (w_srpt, w_opt) == (2 * m - 1, m)
+            assert cr == Fraction(2 * m - 1, m)
+
+    @given(inst=instances(max_n=12, max_m=6, max_processing=20, max_arrival=0))
+    @settings(max_examples=300)
+    def test_zero_release_ratio_is_at_most_two_minus_one_over_m(self, inst):
+        # Graham's list-scheduling bound: with no arrivals after 0 SRPT is
+        # list scheduling, so C <= W/m + (1 - 1/m) * p_max.
+        _, _, cr = analysis.measure(inst)
+        assert cr <= 2 - Fraction(1, inst.machines)
 
 
 class TestBoundCheck:

@@ -8,7 +8,7 @@ import pytest
 
 from srptlab import Schedule, Segment, cli, model
 from srptlab.cli import main
-from srptlab.oracles import OptMethod, OptResult
+from srptlab.oracles import OptResult
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -87,9 +87,21 @@ class TestSimulate:
             capsys=capsys,
         )
         assert code == 1
-        assert out == "makespan 1000000000000\n"
+        assert out == ""
         assert "Gantt chart too large" in err
         assert not chart.exists()
+
+    def test_chart_into_a_directory_prints_no_result(self, tmp_path, capsys):
+        dump = tmp_path / "sched.csv"
+        code, out, err = run(
+            "simulate", "--class", "S1", "--n", "2", "--m", "2",
+            "--dump", str(dump), "--gantt", "ascii", "--out", str(tmp_path),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not dump.exists()
 
     def test_invalid_schedule_is_not_dumped(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -270,7 +282,7 @@ class TestOpt:
             capsys=capsys,
         )
         assert code == 0
-        assert "paper-opt makespan 8" in out
+        assert out == "paper-opt makespan 8\n"
 
     def test_mcnaughton_method(self, capsys):
         code, out, _ = run(
@@ -278,7 +290,7 @@ class TestOpt:
             capsys=capsys,
         )
         assert code == 0
-        assert "mcnaughton makespan 8" in out
+        assert out == "mcnaughton makespan 8\n"
 
     def test_brute_with_releases(self, capsys):
         code, out, _ = run(
@@ -287,7 +299,7 @@ class TestOpt:
             capsys=capsys,
         )
         assert code == 0
-        assert "brute-force-with-releases makespan 5" in out
+        assert out == "brute-force-with-releases makespan 5\n"
 
     def test_brute_over_ceiling_is_input_error(self, capsys):
         code, _, err = run(
@@ -304,7 +316,7 @@ class TestOpt:
             capsys=capsys,
         )
         assert code == 0
-        assert "brute-force-zero-release makespan 13" in out
+        assert out == "brute-force-zero-release makespan 13\n"
 
     def test_dump_requires_a_witness(self, tmp_path, capsys):
         dump = tmp_path / "w.csv"
@@ -322,7 +334,7 @@ class TestOpt:
         monkeypatch.setattr(
             cli,
             "zero_release_opt",
-            lambda inst: OptResult(2, OptMethod.PAPER_OPT, _broken_schedule(inst)),
+            lambda inst: OptResult(2, _broken_schedule(inst)),
         )
         dump = tmp_path / "w.csv"
         code, out, err = run(
@@ -440,6 +452,28 @@ class TestVerify:
         assert "--out" in err
         assert out == ""
         assert not disc.exists()
+
+    @pytest.mark.parametrize("missing", ["--out", "--discrepancies"])
+    def test_output_into_missing_directory_is_refused(
+        self, tmp_path, capsys, monkeypatch, missing
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_all ran")
+
+        monkeypatch.setattr(cli, "verify_all", refuse)
+        paths = {"--out": tmp_path / "v.csv", "--discrepancies": tmp_path / "d.txt"}
+        paths[missing] = tmp_path / "missing" / paths[missing].name
+        code, out, err = run(
+            "verify-theorems", "--n-max", "2",
+            "--out", str(paths["--out"]),
+            "--discrepancies", str(paths["--discrepancies"]),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert "usage error" in err
+        assert "no such directory" in err
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("spelling", ["same", "dotted"])
     def test_one_file_for_table_and_report_is_refused(
@@ -599,6 +633,56 @@ class TestUsageAndErrors:
         code, _, err = run("simulate", "--in", "/nonexistent/x.yaml", capsys=capsys)
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize(
+        "doc, names",
+        [
+            ("{jobs: [], machines: 1}", "instance must contain at least one job"),
+            (
+                "{jobs: [{id: 0, arrival: 0, processing: 1}], machines: 1}",
+                "job id must be >= 1, got 0",
+            ),
+            (
+                "{jobs: [{id: 1, arrival: 0, processing: 2},"
+                " {id: 1, arrival: 1, processing: 2}], machines: 1}",
+                "job ids must be unique and contiguous from 1, got [1, 1]",
+            ),
+            (
+                "{jobs: [{arrival: 0, processing: 1}], machines: 0}",
+                "machine count must be >= 1, got 0",
+            ),
+            (
+                "{jobs: [{arrival: 0, processing: 1.5}], machines: 1}",
+                "job #1 processing must be an integer, got 1.5",
+            ),
+            ("{class: S9, n: 3}", "'S9' is not a valid ClassId"),
+            ("{class: S2, n: 0}", "class parameter n must be >= 1, got 0"),
+            ("{class: S2, n: 3, m: 0}", "machine count must be >= 1, got 0"),
+            (
+                "{class: S2, n: 3, processing_override: 4}",
+                "processing_override is only valid for the parametric class",
+            ),
+            (
+                "{class: parametric, n: 3, processing_override: 0}",
+                "processing_override must be >= 1, got 0",
+            ),
+            (
+                "{class: S3, n: 3, s3_interpretation: 7}",
+                "7 is not a valid S3Interpretation",
+            ),
+            ("{jobs: 3, machines: 1}", "'jobs' must be a list, got 3"),
+        ],
+    )
+    def test_malformed_instance_is_one_error_line(self, tmp_path, capsys, doc, names):
+        path = tmp_path / "inst.yaml"
+        path.write_text(doc)
+        code, out, err = run("simulate", "--in", str(path), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert names in err
+        assert "Traceback" not in err
 
 
 def _readme_examples() -> list[tuple[list[str], str]]:

@@ -4,14 +4,8 @@ from hypothesis import given, settings
 
 from _strategies import instances
 from srptlab import ClassSpec, Instance, Job, generate, simulate_srpt
-from srptlab.files import (
-    ConstraintError,
-    ParseError,
-    check_constraints,
-    parse_instance,
-    schedule_from_csv,
-    schedule_to_csv,
-)
+from srptlab.cli import main
+from srptlab.files import ParseError, parse_instance, schedule_from_csv, schedule_to_csv
 
 
 def serialize_instance(inst: Instance) -> str:
@@ -124,22 +118,34 @@ class TestConstraintEnforcement:
         " machines: 3}"
     )
 
-    def test_enforced_by_default(self):
-        # Parsing never checks the model constraints; check_constraints does,
-        # and the command line calls it unless --no-enforce-constraints.
+    @staticmethod
+    def simulate(tmp_path, capsys, doc):
+        path = tmp_path / "inst.yaml"
+        path.write_text(doc)
+        code = main(["simulate", "--in", str(path)])
+        return code, capsys.readouterr()
+
+    def test_enforced_by_default(self, tmp_path, capsys):
+        # Parsing never checks the model constraints; the command line does,
+        # unless --no-enforce-constraints is given.
         inst = parse_instance(self.TOO_FEW_JOBS)
         assert inst.machines == 3
-        with pytest.raises(ConstraintError) as err:
-            check_constraints(inst)
-        assert "n >= m" in str(err.value)
-        assert "--no-enforce-constraints" in str(err.value)
+        code, (out, err) = self.simulate(tmp_path, capsys, self.TOO_FEW_JOBS)
+        assert code == 1
+        assert out == ""
+        assert "n >= m" in err
+        assert "--no-enforce-constraints" in err
 
-    def test_short_jobs_flagged(self):
-        with pytest.raises(ConstraintError) as err:
-            check_constraints(
-                Instance(jobs=(Job(1, 0, 1), Job(2, 0, 9)), machines=2)
-            )
-        assert "t >= m" in str(err.value)
+    def test_short_jobs_flagged(self, tmp_path, capsys):
+        code, (out, err) = self.simulate(
+            tmp_path,
+            capsys,
+            "{jobs: [{arrival: 0, processing: 1}, {arrival: 0, processing: 9}],"
+            " machines: 2}",
+        )
+        assert code == 1
+        assert out == ""
+        assert "t >= m" in err
 
 
 class TestRoundTrip:

@@ -10,7 +10,6 @@ from srptlab import (
     ClassSpec,
     Instance,
     Job,
-    OptMethod,
     S3Interpretation,
     SearchCeiling,
     SearchCeilingError,
@@ -63,7 +62,6 @@ class TestZeroReleaseOpt:
     def test_two_equal_jobs_two_machines(self):
         result = zero_release_opt(_inst([2, 2], machines=2))
         assert result.makespan == 2
-        assert result.method is OptMethod.PAPER_OPT
         assert result.schedule.makespan == result.makespan
         assert validate_schedule(result.schedule) == []
 
@@ -120,14 +118,12 @@ class TestBruteForce:
     def test_perfectly_parallel(self):
         result = brute_force_opt(_inst([2, 2], machines=2), respect_releases=False)
         assert result.makespan == 2
-        assert result.method is OptMethod.BRUTE_FORCE_ZERO_RELEASE
 
     def test_release_pushes_makespan(self):
         result = brute_force_opt(
             _inst([2, 2], releases=[0, 1], machines=2), respect_releases=True
         )
         assert result.makespan == 3
-        assert result.method is OptMethod.BRUTE_FORCE_WITH_RELEASES
 
     def test_serial_sum_on_one_machine(self):
         assert brute_force_opt(_inst([3, 3]), respect_releases=False).makespan == 6
