@@ -17,7 +17,7 @@ from .analysis import THEOREMS, measure, verify_all
 from .engine import Migration, PolicyConfig, simulate_srpt
 from .files import parse_instance, schedule_from_csv, schedule_to_csv
 from .gantt import render_gantt
-from .model import Instance, validate_schedule
+from .model import Instance
 from .oracles import DEFAULT_CEILING, brute_force_opt, mcnaughton, zero_release_opt
 from .reports import discrepancy_report, emit_report, emit_sweep
 from .workloads import ClassId, ClassSpec, S3Interpretation, generate
@@ -97,29 +97,32 @@ def _load_instance(args) -> Instance:
     return inst
 
 
-def _write_or_print(data: bytes, out: str | None) -> None:
-    if out:
-        Path(out).write_bytes(data)
-    else:
-        sys.stdout.write(data.decode("utf-8"))
+def _check_files(outputs, inputs=()) -> None:
+    """Refuse, before any work, outputs that cannot be written as files and
+    any two flags, inputs included, that name one file. outputs and inputs
+    are (flag, path) pairs; a None path is not given."""
+    outputs = [(flag, Path(path)) for flag, path in outputs if path is not None]
+    seen = {}
+    for flag, path in [(f, Path(p)) for f, p in inputs if p is not None] + outputs:
+        other = seen.setdefault(path.resolve(), flag)
+        if other != flag:
+            raise _UsageError(f"{other} and {flag} name the same file")
+    for flag, path in outputs:
+        if path.is_dir():
+            raise ValueError(f"{flag} {path} is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{path}: no such directory {path.parent}")
 
 
-def _refuse_one_file(a: str, b: str, flags: str) -> None:
-    """Two outputs that name one file would overwrite each other."""
-    if Path(a).resolve() == Path(b).resolve():
-        raise _UsageError(f"{flags} name the same file")
-
-
-def _dump_and_print(line: str, schedule, path: str | None) -> None:
-    """Write the schedule's CSV dump to path if one is given, then print line.
-    An invalid schedule is rejected with its violation list, as render_gantt
-    rejects it; a rejected or failed dump prints nothing."""
-    if path:
-        violations = validate_schedule(schedule)
-        if violations:
-            raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
-        Path(path).write_text(schedule_to_csv(schedule), encoding="utf-8")
-    print(line)
+def _deliver(outputs) -> None:
+    """Write each (path, bytes) output that has a path, in order, then print
+    the pieces whose path is None, in order, each as its own write."""
+    for path, data in outputs:
+        if path is not None:
+            Path(path).write_bytes(data)
+    for path, data in outputs:
+        if path is None:
+            sys.stdout.write(data.decode("utf-8"))
 
 
 def _cmd_simulate(args) -> int:
@@ -127,18 +130,15 @@ def _cmd_simulate(args) -> int:
         raise _UsageError("--gantt svg needs --out PATH")
     if args.out and not args.gantt:
         raise _UsageError("--out writes a rendering; it needs --gantt ascii|svg")
-    if args.dump and args.out:
-        _refuse_one_file(args.dump, args.out, "--dump and --out")
+    _check_files([("--dump", args.dump), ("--out", args.out)], [("--in", args.in_path)])
     inst = _load_instance(args)
     schedule, _ = simulate_srpt(inst, PolicyConfig(migration=args.policy))
-    # A chart that is refused or cannot be written leaves stdout empty and
-    # the dump unwritten.
-    chart = render_gantt(schedule, args.gantt) if args.gantt else b""
-    if args.out:
-        Path(args.out).write_bytes(chart)
-    _dump_and_print(f"makespan {schedule.makespan}", schedule, args.dump)
-    if not args.out:
-        sys.stdout.write(chart.decode("utf-8"))
+    outputs = [(None, f"makespan {schedule.makespan}\n".encode("utf-8"))]
+    if args.dump:
+        outputs.append((args.dump, schedule_to_csv(schedule).encode("utf-8")))
+    if args.gantt:
+        outputs.append((args.out, render_gantt(schedule, args.gantt)))
+    _deliver(outputs)
     return 0
 
 
@@ -160,6 +160,7 @@ def _cmd_opt(args) -> int:
         raise _UsageError(
             f"method {args.method} runs no search; --ceiling-* needs --method brute"
         )
+    _check_files([("--dump", args.dump)], [("--in", args.in_path)])
     inst = _load_instance(args)
     if args.method == "paper":
         label, result = "paper-opt", zero_release_opt(inst)
@@ -173,19 +174,23 @@ def _cmd_opt(args) -> int:
             if args.respect_releases
             else "brute-force-zero-release"
         )
-    _dump_and_print(f"{label} makespan {result.makespan}", result.schedule, args.dump)
+    outputs = [(None, f"{label} makespan {result.makespan}\n".encode("utf-8"))]
+    if args.dump:
+        outputs.append((args.dump, schedule_to_csv(result.schedule).encode("utf-8")))
+    _deliver(outputs)
     return 0
 
 
 def _cmd_sweep(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise _UsageError("need 1 <= --n-min <= --n-max")
+    _check_files([("--out", args.out)])
     rows = []
     for n in range(args.n_min, args.n_max + 1):
         m = n if args.m == "n" else args.m
         inst = generate(_family_spec(args, n, m))
         rows.append((args.class_id, n, m, *measure(inst)))
-    _write_or_print(emit_sweep(rows, args.format), args.out)
+    _deliver([(args.out, emit_sweep(rows, args.format))])
     return 0
 
 
@@ -194,28 +199,19 @@ def _cmd_verify(args) -> int:
         raise _UsageError("need 1 <= --n-min <= --n-max")
     if args.discrepancies and not args.out:
         raise _UsageError("--discrepancies needs --out PATH")
+    out = disc_path = None
     if args.out:
         out = Path(args.out)
-        disc_path = (
-            Path(args.discrepancies)
-            if args.discrepancies
-            else out.with_name(out.stem + "-discrepancies.txt")
-        )
-        _refuse_one_file(out, disc_path, "--out and --discrepancies")
-        for path in (out, disc_path):
-            if not path.parent.is_dir():
-                raise _UsageError(f"{path}: no such directory {path.parent}")
+        disc_path = Path(args.discrepancies or f"{out.with_suffix('')}-discrepancies.txt")
+    _check_files([("--out", out), ("--discrepancies", disc_path)])
     sweep = verify_all(range(args.n_min, args.n_max + 1))
     table = emit_report(sweep, args.format)
     disc = discrepancy_report(sweep).encode("utf-8")
-    if args.out:
-        out.write_bytes(table)
-        disc_path.write_bytes(disc)
-        print(f"wrote {out} and {disc_path}")
+    if out:
+        wrote = f"wrote {out} and {disc_path}\n".encode("utf-8")
+        _deliver([(out, table), (disc_path, disc), (None, wrote)])
     else:
-        sys.stdout.write(table.decode("utf-8"))
-        sys.stdout.write("\n")
-        sys.stdout.write(disc.decode("utf-8"))
+        _deliver([(None, table), (None, b"\n"), (None, disc)])
     for spec in THEOREMS:
         print(f"{spec.theorem_id}: {sweep.summary(spec)}", file=sys.stderr)
     return 2 if sweep.mismatch_rows else 0
@@ -224,13 +220,15 @@ def _cmd_verify(args) -> int:
 def _cmd_render(args) -> int:
     if args.style == "svg" and not args.out:
         raise _UsageError("--style svg needs --out PATH")
+    inputs = [("--in", args.in_path), ("--instance", args.instance)]
+    _check_files([("--out", args.out)], inputs)
     instance = None
     if args.instance:
         instance = parse_instance(Path(args.instance).read_text(encoding="utf-8"))
     schedule = schedule_from_csv(
         Path(args.in_path).read_text(encoding="utf-8"), instance
     )
-    _write_or_print(render_gantt(schedule, args.style), args.out)
+    _deliver([(args.out, render_gantt(schedule, args.style))])
     return 0
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 
-from .model import Instance, Job, Schedule, Segment
+from .model import Instance, Job, Schedule, Segment, validate_schedule
 from .workloads import ClassSpec, generate
 
 
@@ -145,6 +145,11 @@ def _csv_text(header, rows) -> str:
 
 
 def schedule_to_csv(s: Schedule) -> str:
+    """Dump a validated schedule; an invalid one is refused with its
+    violation list, as render_gantt refuses it."""
+    violations = validate_schedule(s)
+    if violations:
+        raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
     return _csv_text(SCHEDULE_COLUMNS, s.segments)
 
 

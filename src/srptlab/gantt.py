@@ -48,18 +48,18 @@ def render_gantt(s: Schedule, style: str = "ascii") -> bytes:
                 f"ASCII Gantt chart too large: {s.instance.machines} machines x"
                 f" makespan {s.makespan} = {cells} cells, limit {ASCII_MAX_CELLS}"
             )
-        return render_ascii(s).encode("utf-8")
+        return _render_ascii(s).encode("utf-8")
     if style == "svg":
         if s.makespan > SVG_MAX_UNITS:
             raise ValueError(
                 f"SVG Gantt chart too large: makespan {s.makespan} time units,"
                 f" limit {SVG_MAX_UNITS}"
             )
-        return render_svg(s).encode("utf-8")
+        return _render_svg(s).encode("utf-8")
     raise ValueError(f"unknown gantt style {style!r}; use 'ascii' or 'svg'")
 
 
-def render_ascii(s: Schedule) -> str:
+def _render_ascii(s: Schedule) -> str:
     # Every cell, idle "." included, is padded to the widest job label, so
     # cell t starts in the column of tick t.
     width = max(len(f"J{job.id}") for job in s.instance.jobs)
@@ -86,7 +86,7 @@ def render_ascii(s: Schedule) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(s: Schedule) -> str:
+def _render_svg(s: Schedule) -> str:
     m_count = s.instance.machines
     width = SVG_LEFT + s.makespan * SVG_UNIT + SVG_UNIT
     height = SVG_TOP + m_count * (SVG_ROW + SVG_GAP) + 40

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from srptlab import (
     Job,
     Migration,
     PolicyConfig,
+    brute_force_opt,
     competitive_ratio,
     discrepancy_report,
     generate,
@@ -218,6 +220,27 @@ class TestClosedForms:
             w_srpt, w_opt, cr = analysis.measure(Instance(tuple(jobs), m))
             assert (w_srpt, w_opt) == (2 * m - 1, m)
             assert cr == Fraction(2 * m - 1, m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_grid_maximum_against_release_respecting_optimum(self, m):
+        # Every multiset of 1..5 jobs with release in {0, 1, 2} and length in
+        # {1, 2, 3}: 2,001 instances. The worst SRPT ratio against the exact
+        # release-respecting optimum is G_m's 2 - 1/m.
+        kinds = [(r, p) for r in range(3) for p in range(1, 4)]
+        grid = [
+            tuple(Job(i, r, p) for i, (r, p) in enumerate(jobs, start=1))
+            for size in range(1, 6)
+            for jobs in itertools.combinations_with_replacement(kinds, size)
+        ]
+        assert len(grid) == 2001
+        ratios = {}
+        for jobs in grid:
+            inst = Instance(jobs, m)
+            ratios[jobs] = Fraction(
+                analysis.measure(inst)[0], brute_force_opt(inst, True).makespan
+            )
+        g_m = tuple(Job(i, 0, m - 1) for i in range(1, m + 1)) + (Job(m + 1, 0, m),)
+        assert max(ratios.values()) == ratios[g_m] == Fraction(2 * m - 1, m)
 
     @given(inst=instances(max_n=12, max_m=6, max_processing=20, max_arrival=0))
     @settings(max_examples=300)

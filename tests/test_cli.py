@@ -470,7 +470,7 @@ class TestVerify:
             capsys=capsys,
         )
         assert code == 1
-        assert "usage error" in err
+        assert err.startswith("error: ")
         assert "no such directory" in err
         assert out == ""
         assert list(tmp_path.iterdir()) == []
@@ -602,6 +602,135 @@ class TestRender:
         assert code == 1
         assert "usage error" in err
         assert "--out" in err
+
+
+SIM = "simulate --class S1 --n 2 --m 2"
+OPT = "opt --method paper --class S1 --n 2 --m 2"
+VERIFY = "verify-theorems --n-max 2"
+
+
+class TestOutputTargets:
+    """Every command refuses a bad output target before its work runs. {t}
+    is a directory holding an instance file, a schedule dump and an empty
+    directory sub/."""
+
+    # (argv, the function whose call is the command's work, the error text)
+    CASES = {
+        "simulate-missing-dir": (
+            SIM + " --gantt ascii --out {t}/C --dump {t}/missing/d.csv",
+            "_load_instance",
+            "error: {t}/missing/d.csv: no such directory {t}/missing",
+        ),
+        "simulate-directory": (
+            SIM + " --gantt ascii --out {t}/sub",
+            "_load_instance",
+            "error: --out {t}/sub is a directory",
+        ),
+        "simulate-one-file": (
+            SIM + " --dump {t}/F --gantt ascii --out {t}/./F",
+            "_load_instance",
+            "usage error: --dump and --out name the same file",
+        ),
+        "simulate-input": (
+            "simulate --in {t}/s.yaml --dump {t}/s.yaml",
+            "_load_instance",
+            "usage error: --in and --dump name the same file",
+        ),
+        "opt-missing-dir": (
+            OPT + " --dump {t}/missing/w.csv",
+            "_load_instance",
+            "error: {t}/missing/w.csv: no such directory {t}/missing",
+        ),
+        "opt-directory": (
+            OPT + " --dump {t}/sub",
+            "_load_instance",
+            "error: --dump {t}/sub is a directory",
+        ),
+        "opt-one-file": (
+            "opt --method paper --in {t}/s.yaml --dump {t}/./s.yaml",
+            "_load_instance",
+            "usage error: --in and --dump name the same file",
+        ),
+        "opt-input": (
+            "opt --method paper --in {t}/s.yaml --dump {t}/s.yaml",
+            "_load_instance",
+            "usage error: --in and --dump name the same file",
+        ),
+        "sweep-missing-dir": (
+            "sweep --class S5 --n-max 3 --out {t}/missing/s.txt",
+            "generate",
+            "error: {t}/missing/s.txt: no such directory {t}/missing",
+        ),
+        "sweep-directory": (
+            "sweep --class S5 --n-max 3 --out {t}/sub",
+            "generate",
+            "error: --out {t}/sub is a directory",
+        ),
+        "verify-missing-dir": (
+            VERIFY + " --out {t}/A.csv --discrepancies {t}/missing/D",
+            "verify_all",
+            "error: {t}/missing/D: no such directory {t}/missing",
+        ),
+        "verify-directory": (
+            VERIFY + " --out {t}/A.csv --discrepancies {t}/sub",
+            "verify_all",
+            "error: --discrepancies {t}/sub is a directory",
+        ),
+        "verify-one-file": (
+            VERIFY + " --out {t}/A.csv --discrepancies {t}/./A.csv",
+            "verify_all",
+            "usage error: --out and --discrepancies name the same file",
+        ),
+        "render-missing-dir": (
+            "render --in {t}/F.csv --out {t}/missing/g.txt",
+            "schedule_from_csv",
+            "error: {t}/missing/g.txt: no such directory {t}/missing",
+        ),
+        "render-directory": (
+            "render --in {t}/F.csv --out {t}/sub",
+            "schedule_from_csv",
+            "error: --out {t}/sub is a directory",
+        ),
+        "render-one-file": (
+            "render --in {t}/F.csv --instance {t}/./F.csv",
+            "schedule_from_csv",
+            "usage error: --in and --instance name the same file",
+        ),
+        "render-input": (
+            "render --in {t}/F.csv --out {t}/F.csv",
+            "schedule_from_csv",
+            "usage error: --in and --out name the same file",
+        ),
+        "render-instance": (
+            "render --in {t}/F.csv --instance {t}/s.yaml --out {t}/s.yaml",
+            "schedule_from_csv",
+            "usage error: --instance and --out name the same file",
+        ),
+    }
+
+    @staticmethod
+    def snapshot(root: Path) -> dict:
+        return {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bad_target_is_refused_before_any_work(
+        self, tmp_path, capsys, monkeypatch, case
+    ):
+        argv, work, message = self.CASES[case]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran")
+
+        monkeypatch.setattr(cli, work, refuse)
+        (tmp_path / "s.yaml").write_text('{class: "S1", n: 2, m: 2}')
+        (tmp_path / "F.csv").write_text("job,machine,start,end\n1,1,0,2\n")
+        (tmp_path / "sub").mkdir()
+        before = self.snapshot(tmp_path)
+        code, out, err = run(*(a.format(t=tmp_path) for a in argv.split()), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == message.format(t=tmp_path) + "\n"
+        assert self.snapshot(tmp_path) == before
 
 
 class TestUsageAndErrors:

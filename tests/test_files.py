@@ -3,7 +3,7 @@ import yaml
 from hypothesis import given, settings
 
 from _strategies import instances
-from srptlab import ClassSpec, Instance, Job, generate, simulate_srpt
+from srptlab import ClassSpec, Instance, Job, Schedule, Segment, generate, simulate_srpt
 from srptlab.cli import main
 from srptlab.files import ParseError, parse_instance, schedule_from_csv, schedule_to_csv
 
@@ -174,6 +174,12 @@ class TestScheduleDump:
         assert text.splitlines()[0] == "job,machine,start,end"
         back = schedule_from_csv(text, inst)
         assert back == schedule
+
+    def test_invalid_schedule_is_refused(self):
+        inst = Instance((Job(1, 0, 2),), machines=1)
+        broken = Schedule.from_segments(inst, [Segment(1, 1, 0, 3)])
+        with pytest.raises(ValueError, match="cannot dump an invalid schedule: job 1"):
+            schedule_to_csv(broken)
 
     def test_inferred_instance(self):
         text = "job,machine,start,end\n1,1,0,2\n2,2,1,3\n"
