@@ -5,7 +5,6 @@ claim verification, and Gantt rendering."""
 from .analysis import (
     THEOREMS,
     ReportRow,
-    SweepReport,
     TheoremSpec,
     competitive_ratio,
     theorem_spec,
@@ -59,7 +58,6 @@ __all__ = [
     "SearchCeiling",
     "SearchCeilingError",
     "Segment",
-    "SweepReport",
     "THEOREMS",
     "TheoremSpec",
     "UnsupportedInstanceError",

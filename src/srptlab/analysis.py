@@ -44,6 +44,13 @@ def competitive_ratio(srpt_makespan: int, opt_makespan: int) -> Fraction:
     return Fraction(srpt_makespan, opt_makespan)
 
 
+_LABEL_SUFFIX = {
+    None: "",
+    S3Interpretation.THEOREM_N_PLUS_2: "/n+2",
+    S3Interpretation.LITERAL_2N: "/2n",
+}
+
+
 @dataclass(frozen=True)
 class TheoremSpec:
     """A claim: workload family, applicability, and the stated makespan
@@ -65,11 +72,11 @@ class TheoremSpec:
         m = self.machines if self.machines is not None else n
         return ClassSpec(self.family, n=n, m=m, s3_interpretation=interp)
 
-    def row_label(self, interp: S3Interpretation | None = None) -> str:
-        if interp is None:
-            return self.theorem_id
-        suffix = "2n" if interp is S3Interpretation.LITERAL_2N else "n+2"
-        return f"{self.theorem_id}/{suffix}"
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """One row label per reading, in interpretations order: the id alone,
+        or ("T3.4/n+2", "T3.4/2n") for the two S3 readings."""
+        return tuple(self.theorem_id + _LABEL_SUFFIX[i] for i in self.interpretations)
 
 
 THEOREMS: tuple[TheoremSpec, ...] = (
@@ -169,28 +176,6 @@ class ReportRow:
         return PASS
 
 
-@dataclass(frozen=True)
-class SweepReport:
-    """A sweep's rows in table order: each claim's variants, then the
-    claimless S5 rows, whose claimed cells are empty (verdict N-A)."""
-
-    rows: tuple[ReportRow, ...]
-
-    @property
-    def mismatch_rows(self) -> tuple[ReportRow, ...]:
-        return tuple(r for r in self.rows if r.verdict == MISMATCH)
-
-    def summary(self, spec: TheoremSpec) -> str:
-        """The claim's verdict over its rows, every reading included: PASS,
-        N-A when no n applies, or MISMATCH with the instances that fail."""
-        labels = {spec.row_label(i) for i in spec.interpretations}
-        rows = [r for r in self.rows if r.theorem in labels]
-        bad = sum(r.verdict == MISMATCH for r in rows)
-        if bad:
-            return f"{MISMATCH} ({bad} of {len(rows)} instances)"
-        return PASS if rows else NOT_APPLICABLE
-
-
 def measure(inst: Instance) -> tuple[int, int, Fraction]:
     """(w_srpt, w_opt, ratio) for one instance, without placing any job.
 
@@ -235,24 +220,36 @@ def _rows(
     return rows
 
 
-def verify_theorem(spec: TheoremSpec, ns) -> SweepReport:
-    """Sweep one claim over the applicable n values.
+def summary(rows, spec: TheoremSpec) -> str:
+    """The claim's verdict over its rows, every reading included: PASS,
+    N-A when no n applies, or MISMATCH with the instances that fail."""
+    labels = spec.labels
+    rows = [r for r in rows if r.theorem in labels]
+    bad = sum(r.verdict == MISMATCH for r in rows)
+    if bad:
+        return f"{MISMATCH} ({bad} of {len(rows)} instances)"
+    return PASS if rows else NOT_APPLICABLE
+
+
+def verify_theorem(spec: TheoremSpec, ns) -> tuple[ReportRow, ...]:
+    """Sweep one claim over the applicable n values, giving its rows in
+    table order.
 
     Non-applicable n are skipped (T3.1 is stated for even n only). Every
     interpretation variant of the family is measured and labelled, so a
     claim that only holds under one reading names which one passes.
     """
     ns = [n for n in ns if spec.applicable(n)]
-    rows: list[ReportRow] = []
-    for interp in spec.interpretations:
-        specs = [spec.class_spec(n, interp) for n in ns]
-        rows += _rows(spec.row_label(interp), specs, spec)
-    return SweepReport(tuple(rows))
+    return tuple(
+        row
+        for interp, label in zip(spec.interpretations, spec.labels)
+        for row in _rows(label, [spec.class_spec(n, interp) for n in ns], spec)
+    )
 
 
-def verify_all(ns) -> SweepReport:
-    """The full default suite: every claim plus the claimless S5 family."""
+def verify_all(ns) -> tuple[ReportRow, ...]:
+    """The full default suite in table order: each claim's readings, then
+    the claimless S5 rows, whose claimed cells are empty (verdict N-A)."""
     ns = list(ns)
-    rows = [row for spec in THEOREMS for row in verify_theorem(spec, ns).rows]
-    rows += _rows("S5", [ClassSpec(ClassId.S5, n=n) for n in ns])
-    return SweepReport(tuple(rows))
+    rows = [row for spec in THEOREMS for row in verify_theorem(spec, ns)]
+    return (*rows, *_rows("S5", [ClassSpec(ClassId.S5, n=n) for n in ns]))

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .analysis import THEOREMS, measure, verify_all
+from .analysis import MISMATCH, THEOREMS, measure, summary, verify_all
 from .engine import Migration, PolicyConfig, simulate_srpt
 from .files import parse_instance, schedule_from_csv, schedule_to_csv
 from .gantt import render_gantt
@@ -204,17 +204,17 @@ def _cmd_verify(args) -> int:
         out = Path(args.out)
         disc_path = Path(args.discrepancies or f"{out.with_suffix('')}-discrepancies.txt")
     _check_files([("--out", out), ("--discrepancies", disc_path)])
-    sweep = verify_all(range(args.n_min, args.n_max + 1))
-    table = emit_report(sweep, args.format)
-    disc = discrepancy_report(sweep).encode("utf-8")
+    rows = verify_all(range(args.n_min, args.n_max + 1))
+    table = emit_report(rows, args.format)
+    disc = discrepancy_report(rows).encode("utf-8")
     if out:
         wrote = f"wrote {out} and {disc_path}\n".encode("utf-8")
         _deliver([(out, table), (disc_path, disc), (None, wrote)])
     else:
         _deliver([(None, table), (None, b"\n"), (None, disc)])
     for spec in THEOREMS:
-        print(f"{spec.theorem_id}: {sweep.summary(spec)}", file=sys.stderr)
-    return 2 if sweep.mismatch_rows else 0
+        print(f"{spec.theorem_id}: {summary(rows, spec)}", file=sys.stderr)
+    return 2 if any(r.verdict == MISMATCH for r in rows) else 0
 
 
 def _cmd_render(args) -> int:

@@ -82,7 +82,7 @@ def parse_instance(text: str) -> Instance:
 def _parse_class_stanza(doc: dict) -> ClassSpec:
     unknown = set(doc) - _CLASS_KEYS
     if unknown:
-        raise ParseError(f"unknown class stanza keys: {sorted(unknown)}")
+        raise ParseError(f"unknown class stanza keys: {sorted(unknown, key=str)}")
     if "n" not in doc:
         raise ParseError("class stanza needs 'n'")
     m = doc.get("m")
@@ -101,7 +101,7 @@ def _parse_class_stanza(doc: dict) -> ClassSpec:
 def _parse_job_list(doc: dict) -> Instance:
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
-        raise ParseError(f"unknown instance keys: {sorted(unknown)}")
+        raise ParseError(f"unknown instance keys: {sorted(unknown, key=str)}")
     if "machines" not in doc:
         raise ParseError("explicit instance needs 'machines'")
     machines = _require_int(doc["machines"], "machines")
@@ -119,7 +119,7 @@ def _parse_job_list(doc: dict) -> Instance:
             raise ParseError(f"job #{pos} must be a mapping, got {raw!r}")
         unknown = set(raw) - _JOB_KEYS
         if unknown:
-            raise ParseError(f"job #{pos}: unknown keys {sorted(unknown)}")
+            raise ParseError(f"job #{pos}: unknown keys {sorted(unknown, key=str)}")
         for key in ("arrival", "processing"):
             if key not in raw:
                 raise ParseError(f"job #{pos} needs '{key}'")
@@ -160,8 +160,10 @@ def schedule_from_csv(text: str, instance: Instance | None = None) -> Schedule:
     (arrival = first start, processing = total units), which requires every
     job id 1..max to appear; pass the real instance for strict validation.
     """
-    reader = csv.reader(io.StringIO(text))
-    rows = [row for row in reader if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as exc:
+        raise ParseError(f"schedule dump is not valid CSV: {exc}") from None
     if not rows or tuple(rows[0]) != SCHEDULE_COLUMNS:
         raise ParseError(
             f"schedule dump must start with header {','.join(SCHEDULE_COLUMNS)}"
@@ -185,12 +187,6 @@ def schedule_from_csv(text: str, instance: Instance | None = None) -> Schedule:
         by_job: dict[int, list[Segment]] = {}
         for seg in segments:
             by_job.setdefault(seg.job_id, []).append(seg)
-        top = max(by_job)
-        missing = [i for i in range(1, top + 1) if i not in by_job]
-        if missing:
-            raise ParseError(
-                f"cannot infer jobs {missing} (no segments); pass the instance file"
-            )
         jobs = tuple(
             Job(
                 id=jid,
@@ -199,5 +195,12 @@ def schedule_from_csv(text: str, instance: Instance | None = None) -> Schedule:
             )
             for jid, segs in sorted(by_job.items())
         )
-        instance = Instance(jobs=jobs, machines=max(seg.machine for seg in segments))
+        # The ids are unique and sorted, so they run 1..n unless the last is
+        # not n; the message names the first gap, not every id.
+        if jobs[-1].id != len(jobs):
+            gap = next(i for i, job in enumerate(jobs, start=1) if job.id != i)
+            raise ParseError(
+                f"cannot infer job {gap} (no segments); pass the instance file"
+            )
+        instance = Instance(jobs, max(seg.machine for seg in segments))
     return Schedule.from_segments(instance, segments)

@@ -5,8 +5,9 @@ and "." for idle, each padded to the widest job label and wrapped in bars,
 with an integer time axis underneath whose ticks line up with the cells.
 SVG: one rect per execution segment at a fixed pixels-per-unit scale.
 Both renderers are byte-deterministic for a given schedule. Their output
-grows with the makespan, not with the segment count, so render_gantt refuses
-a chart larger than ASCII_MAX_CELLS or SVG_MAX_UNITS before drawing it.
+grows with the machine rows and the makespan, not with the segment count, so
+render_gantt refuses a chart of more than MAX_CELLS machine x time cells, or
+an SVG axis longer than SVG_MAX_UNITS, before drawing it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ SVG_ROW = 26  # machine row height
 SVG_GAP = 6
 SVG_LEFT = 48  # label gutter
 SVG_TOP = 12
-# Size limits: the ASCII grid holds machines x makespan cells and the SVG
-# axis two elements per time unit. S5 at n = 96 needs 45,984 cells and 479
-# units.
-ASCII_MAX_CELLS = 1_000_000
+# Size limits: both charts draw one row per machine across the makespan, and
+# the SVG axis two elements per time unit. S5 at n = 96 needs 45,984 cells and
+# 479 units.
+MAX_CELLS = 1_000_000
 SVG_MAX_UNITS = 50_000
 SVG_PALETTE = (
     "#8dd3c7",
@@ -41,22 +42,21 @@ def render_gantt(s: Schedule, style: str = "ascii") -> bytes:
     violations = validate_schedule(s)
     if violations:
         raise ValueError("cannot render an invalid schedule: " + "; ".join(violations))
-    if style == "ascii":
-        cells = s.instance.machines * s.makespan
-        if cells > ASCII_MAX_CELLS:
-            raise ValueError(
-                f"ASCII Gantt chart too large: {s.instance.machines} machines x"
-                f" makespan {s.makespan} = {cells} cells, limit {ASCII_MAX_CELLS}"
-            )
-        return _render_ascii(s).encode("utf-8")
-    if style == "svg":
-        if s.makespan > SVG_MAX_UNITS:
-            raise ValueError(
-                f"SVG Gantt chart too large: makespan {s.makespan} time units,"
-                f" limit {SVG_MAX_UNITS}"
-            )
-        return _render_svg(s).encode("utf-8")
-    raise ValueError(f"unknown gantt style {style!r}; use 'ascii' or 'svg'")
+    if style not in ("ascii", "svg"):
+        raise ValueError(f"unknown gantt style {style!r}; use 'ascii' or 'svg'")
+    if style == "svg" and s.makespan > SVG_MAX_UNITS:
+        raise ValueError(
+            f"SVG Gantt chart too large: makespan {s.makespan} time units,"
+            f" limit {SVG_MAX_UNITS}"
+        )
+    cells = s.instance.machines * s.makespan
+    if cells > MAX_CELLS:
+        raise ValueError(
+            f"{style.upper()} Gantt chart too large: {s.instance.machines} machines"
+            f" x makespan {s.makespan} = {cells} cells, limit {MAX_CELLS}"
+        )
+    render = _render_ascii if style == "ascii" else _render_svg
+    return render(s).encode("utf-8")
 
 
 def _render_ascii(s: Schedule) -> str:

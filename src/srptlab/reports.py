@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .analysis import MISMATCH, ReportRow, SweepReport, theorem_spec
+from .analysis import MISMATCH, PASS, ReportRow, theorem_spec
 from .engine import Migration
 from .files import _csv_text
 from .oracles import DEFAULT_CEILING, SearchCeilingError, brute_force_opt
@@ -90,14 +90,14 @@ def _cells(row: ReportRow) -> tuple[str, ...]:
     )
 
 
-def emit_report(report, fmt: str = "text") -> bytes:
-    """Render a SweepReport's rows as bytes, each row once per policy; fmt
-    is "text" or "csv".
+def emit_report(rows, fmt: str = "text") -> bytes:
+    """Render verification rows as bytes, each row once per policy; fmt is
+    "text" or "csv".
 
     Output is byte-deterministic: fixed column order, "\\n" line endings,
     empty cells for missing claimed values.
     """
-    return _emit(CSV_COLUMNS, report.rows, _cells, fmt)
+    return _emit(CSV_COLUMNS, rows, _cells, fmt)
 
 
 def _sweep_cells(row) -> tuple[str, ...]:
@@ -124,19 +124,18 @@ T31_ALGEBRA_NOTE = (
 )
 
 
-def discrepancy_report(sweep: SweepReport) -> str:
-    """Consolidated text table of every point where the sweep's measurements
-    disagree with a claimed formula.
+def discrepancy_report(rows) -> str:
+    """Consolidated text table of every point where the verification rows'
+    measurements disagree with a claimed formula.
 
-    Contains a row for every T3.1 n in the sweep (agree or differ) with its
+    Contains a row for every T3.1 n in the rows (agree or differ) with its
     one measured makespan under each policy label and, where the instance
     fits the default search ceiling, the exhaustive release-respecting
     optimum; an interpretation matrix for T3.4; and a field-level listing of
-    every mismatch in the sweep, in the sweep's row order and then per
-    policy. Nothing is simulated again. A sweep without rows gives an empty
-    report.
+    every mismatch, in row order and then per policy. Every value and
+    verdict is read off the rows: nothing is simulated or claimed again.
+    No rows give an empty report.
     """
-    rows = sweep.rows
     ns = sorted({r.n for r in rows})
     if not ns:
         return ""
@@ -145,23 +144,21 @@ def discrepancy_report(sweep: SweepReport) -> str:
     lines = [title, "=" * len(title)]
 
     t31 = theorem_spec("T3.1")
-    t31_label = t31.row_label()
-    t31_srpt = {r.n: r.w_srpt_measured for r in rows if r.theorem == t31_label}
-    if t31_srpt:
+    (t31_label,) = t31.labels
+    t31_rows = {r.n: r for r in rows if r.theorem == t31_label}
+    if t31_rows:
         lines.append("")
         lines.append("[T3.1] S1 with m=2: measured vs claimed w_SRPT (even n)")
         body = []
-        for n, w_srpt in sorted(t31_srpt.items()):
+        for n, row in sorted(t31_rows.items()):
             inst = generate(t31.class_spec(n))
             try:
                 brute = str(brute_force_opt(inst, True, DEFAULT_CEILING).makespan)
             except SearchCeilingError:
                 brute = "-"
-            claimed = t31.claimed_srpt(n)
-            status = "AGREE" if w_srpt == claimed else "DIFFER"
-            body.append(
-                [str(n)] + [str(w_srpt)] * len(Migration) + [brute, str(claimed), status]
-            )
+            status = "AGREE" if row.verdict_srpt == PASS else "DIFFER"
+            measured = [str(row.w_srpt_measured)] * len(Migration)
+            body.append([str(n), *measured, brute, str(row.w_srpt_claimed), status])
         header = ["n"] + [p.value for p in Migration] + [
             "brute-force(releases)",
             "claimed",
@@ -171,8 +168,7 @@ def discrepancy_report(sweep: SweepReport) -> str:
         lines.append("")
         lines.append(T31_ALGEBRA_NOTE)
 
-    t34 = theorem_spec("T3.4")
-    labels = [t34.row_label(i) for i in t34.interpretations]
+    labels = theorem_spec("T3.4").labels
     verdicts = {(r.n, r.theorem): r.verdict for r in rows if r.theorem in labels}
     if verdicts:
         lines.append("")
@@ -183,7 +179,7 @@ def discrepancy_report(sweep: SweepReport) -> str:
             [str(n)] + [verdicts[(n, label)] for label in labels]
             for n in sorted({n for n, _ in verdicts})
         ]
-        lines.extend(_text_table(["n"] + labels, body, "  ", str.rjust))
+        lines.extend(_text_table(["n", *labels], body, "  ", str.rjust))
 
     lines.append("")
     lines.append("Field-level mismatches (all claims, both policies)")

@@ -34,7 +34,7 @@ from srptlab import (
     verify_all,
     zero_release_opt,
 )
-from srptlab.analysis import MISMATCH, PASS, SweepReport
+from srptlab.analysis import MISMATCH, PASS
 from srptlab.cli import main
 from srptlab.reports import emit_report
 
@@ -52,8 +52,7 @@ def sweep():
 def _report(sweep, theorem_id):
     """The sweep's rows for one claim, every reading included."""
     spec = theorem_spec(theorem_id)
-    labels = {spec.row_label(i) for i in spec.interpretations}
-    return SweepReport(tuple(r for r in sweep.rows if r.theorem in labels))
+    return tuple(r for r in sweep if r.theorem in spec.labels)
 
 
 def criterion(label):
@@ -80,7 +79,7 @@ def _assert_valid(schedule):
 def test_c1_claim_t32_sweep(sweep):
     report = _report(sweep, "T3.2")
     seen_ns = set()
-    for row in report.rows:
+    for row in report:
         n = row.n
         seen_ns.add(n)
         assert row.w_srpt_measured == 2 * n - 1
@@ -94,7 +93,7 @@ def test_c1_claim_t32_sweep(sweep):
 def test_c2_claim_t33_sweep(sweep):
     report = _report(sweep, "T3.3")
     seen_ns = set()
-    for row in report.rows:
+    for row in report:
         n = row.n
         seen_ns.add(n)
         assert row.w_srpt_measured == 2 * n
@@ -108,7 +107,7 @@ def test_c2_claim_t33_sweep(sweep):
 def test_c3_claim_t35_sweep(sweep):
     report = _report(sweep, "T3.5")
     seen_ns = set()
-    for row in report.rows:
+    for row in report:
         n = row.n
         seen_ns.add(n)
         assert row.w_srpt_measured == 3 * n - 1
@@ -124,8 +123,8 @@ def test_c3_claim_t35_sweep(sweep):
 )
 def test_c4_claim_t34_dual_check(sweep, tmp_path, capsys):
     report = _report(sweep, "T3.4")
-    alt = [r for r in report.rows if r.theorem == "T3.4/n+2"]
-    literal = [r for r in report.rows if r.theorem == "T3.4/2n"]
+    alt = [r for r in report if r.theorem == "T3.4/n+2"]
+    literal = [r for r in report if r.theorem == "T3.4/2n"]
 
     assert {r.n for r in alt} == set(FULL_RANGE)
     for row in alt:
@@ -150,7 +149,7 @@ def test_c4_claim_t34_dual_check(sweep, tmp_path, capsys):
 
     expected = {("T3.1", n) for n in FULL_RANGE if n % 2 == 0 and n >= 4}
     expected |= {("T3.4/2n", n) for n in FULL_RANGE if n >= 3}
-    actual = {(r.theorem, r.n) for r in sweep.mismatch_rows}
+    actual = {(r.theorem, r.n) for r in sweep if r.verdict == MISMATCH}
     assert actual == expected
 
 
@@ -162,7 +161,7 @@ def test_c5_claim_t31(sweep):
     spec = theorem_spec("T3.1")
     report = _report(sweep, "T3.1")
 
-    (row,) = [r for r in report.rows if r.n == 2]
+    (row,) = [r for r in report if r.n == 2]
     assert row.w_srpt_measured == 3
     assert row.w_opt_measured == 2
     assert row.cr_measured == Fraction(3, 2)
@@ -173,11 +172,11 @@ def test_c5_claim_t31(sweep):
     ]
     assert csv_n2 == [f"T3.1,2,{p.value},3,3,2,2,3,2,3,2,PASS" for p in POLICIES]
 
-    assert all(row.cr_measured <= Fraction(3, 2) for row in report.rows)
+    assert all(row.cr_measured <= Fraction(3, 2) for row in report)
 
     text = discrepancy_report(sweep)
     differing = set()
-    for row in report.rows:
+    for row in report:
         if row.w_srpt_measured != row.w_srpt_claimed:
             differing.add(row.n)
     assert differing == {n for n in FULL_RANGE if n % 2 == 0 and n >= 4}

@@ -27,8 +27,8 @@ from srptlab import (
     verify_theorem,
     zero_release_opt,
 )
-from srptlab import analysis, engine
-from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, SweepReport
+from srptlab import analysis, engine, reports
+from srptlab.analysis import MISMATCH, NOT_APPLICABLE, PASS, ReportRow, summary
 from srptlab.cli import main
 from srptlab.engine import place, select_srpt
 from srptlab.reports import emit_report
@@ -89,18 +89,18 @@ class TestClaimedFormulaIdentities:
 class TestVerifyTheorem:
     def test_t32_small_sweep_all_pass(self):
         spec = theorem_spec("T3.2")
-        report = verify_theorem(spec, range(2, 11))
-        assert report.rows
-        for row in report.rows:
+        rows = verify_theorem(spec, range(2, 11))
+        assert rows
+        for row in rows:
             assert row.w_srpt_measured == 2 * row.n - 1
             assert row.w_opt_measured == row.n
             assert row.cr_measured == Fraction(2 * row.n - 1, row.n)
             assert row.verdict == PASS
-        assert report.summary(spec) == PASS
+        assert summary(rows, spec) == PASS
 
     def test_t35_small_sweep_all_pass(self):
-        report = verify_theorem(theorem_spec("T3.5"), range(2, 11))
-        for row in report.rows:
+        rows = verify_theorem(theorem_spec("T3.5"), range(2, 11))
+        for row in rows:
             assert (row.w_srpt_measured, row.w_opt_measured) == (
                 3 * row.n - 1,
                 2 * row.n,
@@ -108,24 +108,24 @@ class TestVerifyTheorem:
             assert row.verdict == PASS
 
     def test_t31_passes_only_at_n2(self):
-        report = verify_theorem(theorem_spec("T3.1"), range(2, 7))
+        rows = verify_theorem(theorem_spec("T3.1"), range(2, 7))
         by_n = {}
-        for row in report.rows:
+        for row in rows:
             by_n.setdefault(row.n, set()).add(row.verdict)
         assert by_n == {2: {PASS}, 4: {MISMATCH}, 6: {MISMATCH}}
-        n4 = [r for r in report.rows if r.n == 4]
+        n4 = [r for r in rows if r.n == 4]
         assert all(r.w_srpt_measured == 9 and r.w_srpt_claimed == 10 for r in n4)
-        assert all(r.verdict_opt == PASS for r in report.rows)
+        assert all(r.verdict_opt == PASS for r in rows)
 
     def test_t31_skips_odd_n(self):
         spec = theorem_spec("T3.1")
-        report = verify_theorem(spec, [3, 5])
-        assert report.rows == ()
-        assert report.summary(spec) == NOT_APPLICABLE
+        rows = verify_theorem(spec, [3, 5])
+        assert rows == ()
+        assert summary(rows, spec) == NOT_APPLICABLE
 
     def test_t34_names_the_passing_interpretation(self):
-        report = verify_theorem(theorem_spec("T3.4"), [2, 3])
-        verdicts = {(r.theorem, r.n): r.verdict for r in report.rows}
+        rows = verify_theorem(theorem_spec("T3.4"), [2, 3])
+        verdicts = {(r.theorem, r.n): r.verdict for r in rows}
         assert verdicts == {
             ("T3.4/n+2", 2): PASS,
             ("T3.4/n+2", 3): PASS,
@@ -133,7 +133,7 @@ class TestVerifyTheorem:
             ("T3.4/2n", 3): MISMATCH,
         }
         literal_n3 = [
-            r for r in report.rows if r.theorem == "T3.4/2n" and r.n == 3
+            r for r in rows if r.theorem == "T3.4/2n" and r.n == 3
         ]
         for row in literal_n3:
             assert row.verdict_opt == MISMATCH
@@ -141,8 +141,8 @@ class TestVerifyTheorem:
             assert (row.w_srpt_measured, row.w_srpt_claimed) == (8, 7)
 
     def test_measured_cr_at_least_one_and_dominates_mcnaughton(self):
-        sweep = verify_all(range(2, 13))
-        assert all(row.cr_measured >= 1 for row in sweep.rows)
+        rows = verify_all(range(2, 13))
+        assert all(row.cr_measured >= 1 for row in rows)
         for spec in (theorem_spec("T3.2"), theorem_spec("T3.5")):
             for n in range(2, 13):
                 inst = generate(spec.class_spec(n))
@@ -253,11 +253,11 @@ class TestClosedForms:
 
 class TestBoundCheck:
     def test_t31_rows_stay_under_three_halves(self):
-        report = verify_theorem(theorem_spec("T3.1"), range(2, 21))
-        assert all(row.cr_measured <= Fraction(3, 2) for row in report.rows)
+        rows = verify_theorem(theorem_spec("T3.1"), range(2, 21))
+        assert all(row.cr_measured <= Fraction(3, 2) for row in rows)
 
 
-class TestSweepReport:
+class TestSummary:
     @staticmethod
     def row(theorem, w_srpt_claimed=None):
         """Measured 3 against OPT 2; claimed w_srpt_claimed against 2."""
@@ -267,24 +267,27 @@ class TestSweepReport:
         return ReportRow(theorem, 2, 3, 2, Fraction(3, 2), *claimed)
 
     def test_summary_counts_the_claims_mismatching_instances(self):
-        report = SweepReport(
-            (
-                self.row("T3.4/n+2", 3),
-                self.row("T3.4/2n", 4),
-                self.row("T3.4/2n", 5),
-                self.row("T3.2", 4),
-                self.row("S5"),
-            )
+        rows = (
+            self.row("T3.4/n+2", 3),
+            self.row("T3.4/2n", 4),
+            self.row("T3.4/2n", 5),
+            self.row("T3.2", 4),
+            self.row("S5"),
         )
-        assert report.summary(theorem_spec("T3.4")) == "MISMATCH (2 of 3 instances)"
-        assert report.summary(theorem_spec("T3.2")) == "MISMATCH (1 of 1 instances)"
-        assert report.summary(theorem_spec("T3.5")) == NOT_APPLICABLE
-        assert [r.theorem for r in report.mismatch_rows] == ["T3.4/2n", "T3.4/2n", "T3.2"]
+        assert summary(rows, theorem_spec("T3.4")) == "MISMATCH (2 of 3 instances)"
+        assert summary(rows, theorem_spec("T3.2")) == "MISMATCH (1 of 1 instances)"
+        assert summary(rows, theorem_spec("T3.5")) == NOT_APPLICABLE
+        mismatched = [r.theorem for r in rows if r.verdict == MISMATCH]
+        assert mismatched == ["T3.4/2n", "T3.4/2n", "T3.2"]
 
     def test_summary_passes_when_every_row_agrees(self):
-        report = SweepReport((self.row("T3.2", 3), self.row("S5")))
-        assert report.summary(theorem_spec("T3.2")) == PASS
-        assert report.mismatch_rows == ()
+        rows = (self.row("T3.2", 3), self.row("S5"))
+        assert summary(rows, theorem_spec("T3.2")) == PASS
+        assert [r for r in rows if r.verdict == MISMATCH] == []
+
+    def test_labels_name_each_reading_in_order(self):
+        assert theorem_spec("T3.4").labels == ("T3.4/n+2", "T3.4/2n")
+        assert theorem_spec("T3.2").labels == ("T3.2",)
 
 
 class TestDiscrepancyReport:
@@ -344,4 +347,27 @@ class TestDiscrepancyReport:
         fields = text.split("Field-level mismatches")[1].splitlines()
         assert ["T3.1", "4", "reassign-all", "w_srpt", "9", "10"] in [
             ln.split() for ln in fields
+        ]
+
+    def test_reads_verdicts_without_evaluating_a_claim(self, monkeypatch):
+        rows = verify_all(range(2, 9))
+        expected = discrepancy_report(rows)
+
+        def refuse(n):
+            raise AssertionError("discrepancy_report evaluated a claimed formula")
+
+        def refusing_spec(theorem_id):
+            spec = analysis.theorem_spec(theorem_id)
+            return dataclasses.replace(spec, claimed_srpt=refuse, claimed_opt=refuse)
+
+        monkeypatch.setattr(reports, "theorem_spec", refusing_spec)
+        assert discrepancy_report(rows) == expected
+
+    def test_a_repeated_t31_n_prints_once(self):
+        rows = verify_theorem(theorem_spec("T3.1"), [2, 4])
+        text = discrepancy_report(rows + rows)
+        section = text.split("[T3.1]")[1].split("note:")[0]
+        assert [ln.split()[0] for ln in section.splitlines()[2:] if ln.strip()] == [
+            "2",
+            "4",
         ]

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from srptlab import Schedule, Segment, cli, model
+from srptlab import Schedule, Segment, cli, gantt, model
 from srptlab.cli import main
 from srptlab.oracles import OptResult
 
@@ -813,6 +813,81 @@ class TestUsageAndErrors:
         assert names in err
         assert "Traceback" not in err
 
+
+    @pytest.mark.parametrize(
+        "argv, text, names",
+        [
+            pytest.param(
+                "simulate --gantt ascii",
+                "{class: S1, n: 2, 1: 2, x: 3}",
+                "unknown class stanza keys: [1, 'x']",
+                id="stanza-mixed-keys",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                "{jobs: [{arrival: 0, processing: 2}], machines: 1, 1: 2, x: 3}",
+                "unknown instance keys: [1, 'x']",
+                id="instance-mixed-keys",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                "{jobs: [{arrival: 0, processing: 2, 1: 2, x: 3}], machines: 1}",
+                "job #1: unknown keys [1, 'x']",
+                id="job-mixed-keys",
+            ),
+            pytest.param(
+                "render",
+                "job,machine,start,end\n1,1,0," + "2" * 131_073 + "\n",
+                "schedule dump is not valid CSV: field larger than field limit",
+                id="dump-oversized-field",
+            ),
+            # Python 3.10's csv refuses the NUL byte; later versions read it
+            # and the cell is refused as a non-integer.
+            pytest.param(
+                "render",
+                "job,machine,start,end\n1,1,0,\x002\n",
+                "schedule",
+                id="dump-nul-byte",
+            ),
+            pytest.param(
+                "render",
+                f"job,machine,start,end\n{10**6},1,0,1\n",
+                "cannot infer job 1 (no segments); pass the instance file",
+                id="dump-huge-job-id",
+            ),
+            pytest.param(
+                "render",
+                "job,machine,start,end\n"
+                + "".join(f"{j},1,{j},{j + 1}\n" for j in range(1, 2001) if j != 7),
+                "cannot infer job 7 (no segments); pass the instance file",
+                id="dump-many-jobs-one-gap",
+            ),
+            pytest.param(
+                "render --style svg",
+                "job,machine,start,end\n1,100,0,1\n",
+                "SVG Gantt chart too large: 100 machines x makespan 1 = 100 cells,"
+                " limit 99",
+                id="dump-svg-over-cell-limit",
+            ),
+        ],
+    )
+    def test_malformed_input_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, argv, text, names
+    ):
+        monkeypatch.setattr(gantt, "MAX_CELLS", 99)
+        src, out = tmp_path / "input", tmp_path / "chart"
+        src.write_text(text)
+        code, stdout, err = run(
+            *argv.split(), "--in", str(src), "--out", str(out), capsys=capsys
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert len(err) < 300
+        assert names in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
 def _readme_examples() -> list[tuple[list[str], str]]:
     """README's `$ srpt-lab ...` examples: (argv, the output printed below)."""

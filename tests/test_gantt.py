@@ -140,7 +140,7 @@ class TestSizeLimits:
             render_gantt(_long_job_schedule(), "ascii")
         assert (
             f"1 machines x makespan {10**12} = {10**12} cells,"
-            f" limit {gantt.ASCII_MAX_CELLS}"
+            f" limit {gantt.MAX_CELLS}"
         ) in str(err.value)
 
     def test_long_svg_chart_refused_with_its_size(self):
@@ -153,15 +153,16 @@ class TestSizeLimits:
     def test_limits_cover_the_largest_rendered_family(self):
         inst = generate(ClassSpec(ClassId.S5, n=96))
         makespan = 5 * 96 - 1
-        assert inst.machines * makespan <= gantt.ASCII_MAX_CELLS
+        assert inst.machines * makespan <= gantt.MAX_CELLS
         assert makespan <= gantt.SVG_MAX_UNITS
 
     @pytest.mark.parametrize(
-        "style, limit", [("ascii", "ASCII_MAX_CELLS"), ("svg", "SVG_MAX_UNITS")]
+        "style, limit",
+        [("ascii", "MAX_CELLS"), ("svg", "SVG_MAX_UNITS"), ("svg", "MAX_CELLS")],
     )
     def test_a_chart_at_the_limit_is_drawn(self, monkeypatch, style, limit):
         schedule = _hand_trace_schedule()  # 2 machines, makespan 3
-        size = 6 if style == "ascii" else 3
+        size = 6 if limit == "MAX_CELLS" else 3
         monkeypatch.setattr(gantt, limit, size)
         assert render_gantt(schedule, style)
         monkeypatch.setattr(gantt, limit, size - 1)

@@ -1,7 +1,6 @@
 import pytest
 
 from srptlab import theorem_spec, verify_all, verify_theorem
-from srptlab.analysis import SweepReport
 from srptlab.reports import CSV_COLUMNS, emit_report, emit_sweep
 
 EXPECTED_HEADER = (
@@ -13,7 +12,7 @@ EXPECTED_HEADER = (
 
 def test_csv_header_is_pinned():
     assert ",".join(CSV_COLUMNS) == EXPECTED_HEADER
-    data = emit_report(SweepReport(()), "csv")
+    data = emit_report((), "csv")
     assert data == (EXPECTED_HEADER + "\n").encode()
 
 
@@ -26,7 +25,7 @@ def test_t32_n2_csv_row():
 
 def test_t33_n3_values():
     report = verify_theorem(theorem_spec("T3.3"), [3])
-    row = report.rows[0]
+    row = report[0]
     assert (row.w_srpt_measured, row.w_opt_measured) == (6, 4)
     assert (row.cr_measured.numerator, row.cr_measured.denominator) == (3, 2)
     assert row.verdict == "PASS"
@@ -60,7 +59,7 @@ def test_emit_is_byte_deterministic():
 
 def test_unknown_format_rejected():
     with pytest.raises(ValueError):
-        emit_report(SweepReport(()), "html")
+        emit_report((), "html")
 
 
 def test_emit_sweep_formats():
