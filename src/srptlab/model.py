@@ -62,9 +62,11 @@ class Instance:
             pos = next(i for i, j in enumerate(self.jobs) if not isinstance(j, Job))
             raise ValueError(f"jobs[{pos}] is not a Job: {self.jobs[pos]!r}") from None
         if ids != list(range(1, len(self.jobs) + 1)):
-            raise ValueError(
-                f"job ids must be unique and contiguous from 1, got {ids}"
-            )
+            # ids is sorted and every id is >= 1, so at the first position i
+            # with ids[i - 1] != i either id i - 1 repeats or id i is missing.
+            i = next(i for i, job_id in enumerate(ids, 1) if job_id != i)
+            fault = f"id {i - 1} repeats" if ids[i - 1] == i - 1 else f"id {i} is missing"
+            raise ValueError(f"job ids must be unique and contiguous from 1, but {fault}")
 
     @property
     def job_count(self) -> int:

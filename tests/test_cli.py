@@ -774,7 +774,7 @@ class TestUsageAndErrors:
             (
                 "{jobs: [{id: 1, arrival: 0, processing: 2},"
                 " {id: 1, arrival: 1, processing: 2}], machines: 1}",
-                "job ids must be unique and contiguous from 1, got [1, 1]",
+                "job ids must be unique and contiguous from 1, but id 1 repeats",
             ),
             (
                 "{jobs: [{arrival: 0, processing: 1}], machines: 0}",
@@ -813,6 +813,22 @@ class TestUsageAndErrors:
         assert names in err
         assert "Traceback" not in err
 
+    def test_repeated_id_in_a_large_instance_is_one_short_line(self, tmp_path, capsys):
+        # 3,000 jobs whose last id repeats id 1: the message names that id,
+        # not every id in the file.
+        jobs = [f"{{id: {i}, arrival: 0, processing: 1}}" for i in range(1, 3000)]
+        jobs.append("{id: 1, arrival: 0, processing: 1}")
+        path = tmp_path / "inst.yaml"
+        path.write_text("{machines: 1, jobs: [" + ", ".join(jobs) + "]}")
+        code, out, err = run(
+            "simulate", "--in", str(path), "--no-enforce-constraints", capsys=capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert len(err) < 300
+        assert "but id 1 repeats" in err
 
     @pytest.mark.parametrize(
         "argv, text, names",

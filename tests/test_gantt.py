@@ -1,9 +1,12 @@
 import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _strategies import families
+from _strategies import families, instances
 from srptlab import (
     ClassId,
     ClassSpec,
@@ -22,6 +25,41 @@ from srptlab.gantt import render_gantt
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
 SVG_GOLDEN = Path(__file__).parent / "golden" / "gantt_s5_n8_reassign.svg"
+
+
+def _reference_ascii(s: Schedule) -> bytes:
+    """Reference ASCII chart: one (machine, t) -> label cell per occupied
+    time unit, read back row by row."""
+    width = max(len(f"J{job.id}") for job in s.instance.jobs)
+    grid = {}
+    for job_id, machine, start, end in s.segments:
+        for t in range(start, end):
+            grid[(machine, t)] = f"J{job_id}".ljust(width)
+    machines = range(1, s.instance.machines + 1)
+    label_width = max(len(f"P{m}:") for m in machines) + 1
+    lines = []
+    for m in machines:
+        cells = [grid.get((m, t), ".".ljust(width)) for t in range(s.makespan)]
+        lines.append(f"P{m}:".ljust(label_width) + "|" + " ".join(cells) + "|")
+    if len(str(s.makespan)) <= width:
+        ticks = "".join(str(t).ljust(width + 1) for t in range(s.makespan + 1))
+        lines.append(" " * (label_width + 1) + ticks.rstrip())
+    else:
+        lines.append("t: " + " ".join(str(t) for t in range(s.makespan + 1)))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def _peak_render_bytes(schedule: Schedule, style: str) -> tuple[int, int]:
+    """Peak traced allocation of one render of an already validated schedule,
+    and the chart's length."""
+    assert validate_schedule(schedule) == []
+    tracemalloc.start()
+    try:
+        chart = render_gantt(schedule, style)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, len(chart)
 
 
 def _hand_trace_schedule() -> Schedule:
@@ -89,6 +127,29 @@ class TestAscii:
                     cell = re.match(r"[^ |]+", row[col:]).group()
                     assert cell == label.get((machine, t), "."), (spec, machine, t)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inst=st.one_of(
+            # Up to 12 jobs mixes J9 with J10; long jobs on few machines give
+            # makespans past 99, where the axis falls back to a flat listing.
+            instances(max_n=12, max_m=4, max_processing=40, max_arrival=12),
+            st.sampled_from(list(families((1, 2, 3, 5, 8, 13, 40)))).map(generate),
+        ),
+        migration=st.sampled_from(list(Migration)),
+    )
+    def test_rows_match_the_cell_dict_reference(self, inst, migration):
+        schedule, _ = simulate_srpt(inst, PolicyConfig(migration=migration))
+        assert render_gantt(schedule, "ascii") == _reference_ascii(schedule)
+
+    def test_chart_at_the_cell_limit_peaks_near_its_size(self):
+        # S5 n=440 sticky: 440 machines x makespan 2199 = 967,560 cells, a
+        # 4.85 MB chart.
+        inst = generate(ClassSpec(ClassId.S5, n=440))
+        schedule, _ = simulate_srpt(inst, PolicyConfig(migration=Migration.STICKY))
+        assert inst.machines * schedule.makespan <= gantt.MAX_CELLS
+        peak, size = _peak_render_bytes(schedule, "ascii")
+        assert peak <= 2 * size, (peak, size)
+
 
 class TestSvg:
     def test_svg_shape(self):
@@ -115,6 +176,13 @@ class TestSvg:
         schedule, _ = simulate_srpt(generate(ClassSpec(ClassId.S4, n=3)))
         assert render_gantt(schedule, "svg") == render_gantt(schedule, "svg")
 
+    def test_s5_reassign_chart_peaks_near_its_size(self):
+        # S5 n=96 reassign-all: 13,872 segments, a 2.50 MB chart.
+        inst = generate(ClassSpec(ClassId.S5, n=96))
+        schedule, _ = simulate_srpt(inst, PolicyConfig(migration=Migration.REASSIGN_ALL))
+        peak, size = _peak_render_bytes(schedule, "svg")
+        assert peak <= 1.5 * size, (peak, size)
+
 
 class TestRejection:
     def test_invalid_schedule_rejected_with_violations(self):
@@ -127,6 +195,13 @@ class TestRejection:
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             render_gantt(_hand_trace_schedule(), "png")
+
+    def test_unknown_style_refused_before_the_schedule_is_validated(self):
+        inst = Instance(jobs=(Job(1, 0, 2),), machines=1)
+        broken = Schedule.from_segments(inst, [Segment(1, 1, 0, 1)])
+        with pytest.raises(ValueError) as err:
+            render_gantt(broken, "png")
+        assert str(err.value) == "unknown gantt style 'png'; use 'ascii' or 'svg'"
 
 
 def _long_job_schedule() -> Schedule:

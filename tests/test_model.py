@@ -79,6 +79,23 @@ class TestJobAndInstance:
         with pytest.raises(ValueError):
             Instance(jobs=(Job(1, 0, 1), Job(3, 0, 1)), machines=1)
 
+    @pytest.mark.parametrize(
+        "ids, fault",
+        [
+            ((1, 1), "id 1 repeats"),
+            ((3, 1, 2, 2), "id 2 repeats"),
+            ((2, 3), "id 1 is missing"),
+            ((1, 3, 3), "id 2 is missing"),
+            ((1, 2, 4), "id 3 is missing"),
+        ],
+    )
+    def test_instance_names_the_first_bad_id(self, ids, fault):
+        with pytest.raises(ValueError) as err:
+            Instance(jobs=tuple(Job(i, 0, 1) for i in ids), machines=1)
+        assert str(err.value) == (
+            f"job ids must be unique and contiguous from 1, but {fault}"
+        )
+
     def test_instance_names_the_first_entry_that_is_not_a_job(self):
         with pytest.raises(ValueError) as err:
             Instance(jobs=(Job(1, 0, 2), {"id": 2}, (3, 0, 2)), machines=1)
