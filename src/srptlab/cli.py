@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .analysis import MISMATCH, THEOREMS, measure, summary, verify_all
@@ -77,9 +77,9 @@ def _load_instance(args) -> Instance:
         raise _UsageError("give exactly one of --in FILE or --class NAME")
     if args.in_path:
         given = [
-            "--" + dest.replace("_", "-")
-            for dest in ("n", "m", "s3_interpretation", "processing_override")
-            if getattr(args, dest) is not None
+            "--" + field.name.replace("_", "-")
+            for field in fields(ClassSpec)
+            if field.name != "class_id" and getattr(args, field.name) is not None
         ]
         if given:
             raise _UsageError(f"{', '.join(given)}: family flags need --class")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import io
+from dataclasses import fields
 
 from .model import Instance, Job, Schedule, Segment, validate_schedule
 from .workloads import ClassSpec, generate
@@ -29,22 +30,19 @@ class ParseError(ValueError):
     """Malformed instance document; carries line/column when known."""
 
 
-_CLASS_KEYS = {"class", "n", "m", "s3_interpretation", "processing_override"}
-_INSTANCE_KEYS = {"jobs", "machines"}
-_JOB_KEYS = {"id", "arrival", "processing"}
-
-
-def _require_int(value, what: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{what} must be an integer, got {value!r}")
-    return value
+# A document's keys are the fields of the type it builds; a class stanza
+# names the class_id field "class".
+_CLASS_KEYS = {f.name for f in fields(ClassSpec) if f.name != "class_id"}
+_INSTANCE_KEYS = {f.name for f in fields(Instance)}
+_JOB_KEYS = set(Job._fields)
 
 
 def parse_instance(text: str) -> Instance:
     """Parse an instance document; a class stanza is generated.
 
-    Only the document's shape is checked here. Job, Instance and ClassSpec
-    check the values, and their ValueErrors are raised again as ParseError.
+    Only the document's shape is checked here: keys, and ids given for all
+    jobs or none. Job, Instance and ClassSpec check the values, integer-ness
+    included, and their ValueErrors are raised again as ParseError.
     The model constraints (n >= m, t >= m) are not checked.
     """
     # Imported here so that commands which read no instance file skip it.
@@ -80,22 +78,13 @@ def parse_instance(text: str) -> Instance:
 
 
 def _parse_class_stanza(doc: dict) -> ClassSpec:
-    unknown = set(doc) - _CLASS_KEYS
+    rest = {key: value for key, value in doc.items() if key != "class"}
+    unknown = set(rest) - _CLASS_KEYS
     if unknown:
         raise ParseError(f"unknown class stanza keys: {sorted(unknown, key=str)}")
-    if "n" not in doc:
+    if "n" not in rest:
         raise ParseError("class stanza needs 'n'")
-    m = doc.get("m")
-    override = doc.get("processing_override")
-    return ClassSpec(
-        class_id=doc["class"],
-        n=_require_int(doc["n"], "n"),
-        m=None if m is None else _require_int(m, "m"),
-        processing_override=(
-            None if override is None else _require_int(override, "processing_override")
-        ),
-        s3_interpretation=doc.get("s3_interpretation"),
-    )
+    return ClassSpec(class_id=doc["class"], **rest)
 
 
 def _parse_job_list(doc: dict) -> Instance:
@@ -104,7 +93,6 @@ def _parse_job_list(doc: dict) -> Instance:
         raise ParseError(f"unknown instance keys: {sorted(unknown, key=str)}")
     if "machines" not in doc:
         raise ParseError("explicit instance needs 'machines'")
-    machines = _require_int(doc["machines"], "machines")
     raw_jobs = doc["jobs"]
     if not isinstance(raw_jobs, list):
         raise ParseError(f"'jobs' must be a list, got {raw_jobs!r}")
@@ -123,14 +111,8 @@ def _parse_job_list(doc: dict) -> Instance:
         for key in ("arrival", "processing"):
             if key not in raw:
                 raise ParseError(f"job #{pos} needs '{key}'")
-        jobs.append(
-            Job(
-                id=_require_int(raw["id"], f"job #{pos} id") if "id" in raw else pos,
-                arrival=_require_int(raw["arrival"], f"job #{pos} arrival"),
-                processing=_require_int(raw["processing"], f"job #{pos} processing"),
-            )
-        )
-    return Instance(jobs=tuple(jobs), machines=machines)
+        jobs.append(Job(raw.get("id", pos), raw["arrival"], raw["processing"]))
+    return Instance(jobs=tuple(jobs), machines=doc["machines"])
 
 
 SCHEDULE_COLUMNS = ("job", "machine", "start", "end")

@@ -1,8 +1,9 @@
 """Domain model: jobs, instances, schedules, schedule validation.
 
-All times are non-negative integers. Execution segments are half-open
-intervals [start, end), so a segment ending at t and another starting at t
-on the same machine never count as overlapping.
+All times are non-negative integers: Job, Segment and Instance refuse any
+other value, a bool too, with a ValueError naming the field. Execution
+segments are half-open intervals [start, end), so a segment ending at t and
+another starting at t on the same machine never count as overlapping.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
+
+
+def _check_int(value, what: str, low: int | None = None) -> None:
+    """The one check of an integer value, here and in ClassSpec: an int but
+    not a bool, and >= low when low is given."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{what} must be >= {low}, got {value}")
 
 
 class _JobFields(NamedTuple):
@@ -29,12 +39,14 @@ class Job(_JobFields):
     __slots__ = ()
 
     def __new__(cls, id: int, arrival: int, processing: int) -> Job:
-        if id < 1:
-            raise ValueError(f"job id must be >= 1, got {id}")
-        if arrival < 0:
-            raise ValueError(f"job {id}: arrival must be >= 0, got {arrival}")
-        if processing < 1:
-            raise ValueError(f"job {id}: processing must be >= 1, got {processing}")
+        # One test on the hot path; the fields are named only if it fails.
+        if not (
+            type(id) is type(arrival) is type(processing) is int
+            and id >= 1 and arrival >= 0 and processing >= 1
+        ):
+            _check_int(id, "job id", 1)
+            _check_int(arrival, f"job {id}: arrival", 0)
+            _check_int(processing, f"job {id}: processing", 1)
         return tuple.__new__(cls, (id, arrival, processing))
 
     @classmethod
@@ -54,8 +66,7 @@ class Instance:
         object.__setattr__(self, "jobs", tuple(self.jobs))
         if not self.jobs:
             raise ValueError("instance must contain at least one job")
-        if self.machines < 1:
-            raise ValueError(f"machine count must be >= 1, got {self.machines}")
+        _check_int(self.machines, "machine count", 1)
         try:
             ids = sorted(job.id for job in self.jobs)
         except AttributeError:
@@ -113,14 +124,16 @@ class Segment(_SegmentFields):
     __slots__ = ()
 
     def __new__(cls, job_id: int, machine: int, start: int, end: int) -> Segment:
-        if job_id < 1:
-            raise ValueError(f"segment job id must be >= 1, got {job_id}")
-        if machine < 1:
-            raise ValueError(f"segment machine must be >= 1, got {machine}")
-        if start < 0:
-            raise ValueError(f"segment start must be >= 0, got {start}")
-        if not start < end:
-            raise ValueError(f"segment must satisfy start < end, got [{start},{end})")
+        if not (
+            type(job_id) is type(machine) is type(start) is type(end) is int
+            and job_id >= 1 and machine >= 1 and 0 <= start < end
+        ):
+            _check_int(job_id, "segment job id", 1)
+            _check_int(machine, "segment machine", 1)
+            _check_int(start, "segment start", 0)
+            _check_int(end, "segment end")
+            if not start < end:
+                raise ValueError(f"segment must satisfy start < end, got [{start},{end})")
         return tuple.__new__(cls, (job_id, machine, start, end))
 
     @classmethod
@@ -196,11 +209,12 @@ def validate_schedule(s: Schedule) -> list[str]:
     """Check every schedule invariant; return one message per violation.
 
     An empty list means the schedule is valid. Checked, in order: segment
-    references (job exists, machine in range), makespan consistency, work
-    conservation per job, machine overlaps, a job running on two machines
-    at once, and release respect. The first call on a schedule costs
-    O(S log S) for S segments, plus one step per violation reported; later
-    calls reuse its verdict. Each call returns a fresh list.
+    references (job exists, machine in range), an integer makespan equal to
+    the latest segment end, work conservation per job, machine overlaps, a
+    job running on two machines at once, and release respect. The first
+    call on a schedule costs O(S log S) for S segments, plus one step per
+    violation reported; later calls reuse its verdict. Each call returns a
+    fresh list.
     """
     return list(s._violations)
 
@@ -228,6 +242,10 @@ def _schedule_violations(s: Schedule) -> list[str]:
             )
 
     latest = max((seg.end for seg in s.segments), default=0)
+    try:
+        _check_int(s.makespan, "makespan")
+    except ValueError as exc:
+        violations.append(str(exc))
     if s.makespan != latest:
         violations.append(f"makespan {s.makespan} != latest segment end {latest}")
 

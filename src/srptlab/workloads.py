@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Instance, Job
+from .model import Instance, Job, _check_int
 
 
 class ClassId(str, Enum):
@@ -51,10 +51,9 @@ class ClassSpec:
             object.__setattr__(
                 self, "s3_interpretation", S3Interpretation(self.s3_interpretation)
             )
-        if self.n < 1:
-            raise ValueError(f"class parameter n must be >= 1, got {self.n}")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"machine count must be >= 1, got {self.m}")
+        _check_int(self.n, "class parameter n", 1)
+        if self.m is not None:
+            _check_int(self.m, "machine count", 1)
         if self.class_id is ClassId.S1 and self.m is None:
             raise ValueError("class S1 needs an explicit machine count")
         if self.processing_override is not None:
@@ -62,10 +61,7 @@ class ClassSpec:
                 raise ValueError(
                     "processing_override is only valid for the parametric class"
                 )
-            if self.processing_override < 1:
-                raise ValueError(
-                    f"processing_override must be >= 1, got {self.processing_override}"
-                )
+            _check_int(self.processing_override, "processing_override", 1)
         if (
             self.s3_interpretation is not None
             and self.class_id is not ClassId.S3

@@ -16,6 +16,7 @@ from srptlab import (
     Job,
     Migration,
     PolicyConfig,
+    S3Interpretation,
     brute_force_opt,
     competitive_ratio,
     discrepancy_report,
@@ -211,6 +212,48 @@ class TestClosedForms:
         k, r = divmod(n - 1, m)
         w_srpt, _, _ = analysis.measure(generate(spec))
         assert w_srpt == max(n - 1 + p, r + (k + 1) * p)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 8])
+    def test_class_wide_maximum_is_two_minus_one_over_m(self, m):
+        # The model's class is N >= m jobs of one length p >= m released
+        # unit apart. Against the zero-release optimum max(p, ceil(N*p/m)),
+        # the formula above peaks at exactly 2 - 1/m, and only at N = p = m:
+        # S1 with m = n, the family of T3.2.
+        best, where = Fraction(0), []
+        for count in range(m, 40 * m):
+            k, r = divmod(count - 1, m)
+            for p in range(m, 40 * m):
+                w_opt = max(p, -(-count * p // m))
+                ratio = Fraction(max(count - 1 + p, r + (k + 1) * p), w_opt)
+                if ratio > best:
+                    best, where = ratio, [(count, p)]
+                elif ratio == best:
+                    where.append((count, p))
+        assert best == 2 - Fraction(1, m)
+        assert where == [(m, m)]
+        spec = ClassSpec(ClassId.PARAMETRIC, m, m=m, processing_override=m)
+        assert analysis.measure(generate(spec)) == (2 * m - 1, m, best)
+
+    @pytest.mark.parametrize("n", [128, 256, 512, 1024])
+    def test_family_laws(self, n):
+        # The formula above with each family's N, m and p substituted; the
+        # S1 m=2 odd-n law is checked at n - 1.
+        t31, t34 = theorem_spec("T3.1"), theorem_spec("T3.4")
+        odd = n - 1
+        laws = {
+            "T3.1, even n": (t31.class_spec(n), n * n // 2 + 1),
+            "S1 m=2, odd n": (t31.class_spec(odd), odd * (odd + 1) // 2),
+            "T3.2": (theorem_spec("T3.2").class_spec(n), 2 * n - 1),
+            "T3.3": (theorem_spec("T3.3").class_spec(n), 2 * n),
+            "T3.4/n+2": (t34.class_spec(n, S3Interpretation.THEOREM_N_PLUS_2), 2 * n + 1),
+            "T3.4/2n": (t34.class_spec(n, S3Interpretation.LITERAL_2N), 3 * n - 1),
+            "T3.5": (theorem_spec("T3.5").class_spec(n), 3 * n - 1),
+            "S5": (ClassSpec(ClassId.S5, n), 5 * n - 1),
+        }
+        measured = {
+            label: analysis.measure(generate(spec))[0] for label, (spec, _) in laws.items()
+        }
+        assert measured == {label: law for label, (_, law) in laws.items()}
 
     def test_graham_family_attains_two_minus_one_over_m(self):
         # m jobs of length m - 1 and one of length m, all released at 0:

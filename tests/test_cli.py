@@ -782,8 +782,18 @@ class TestUsageAndErrors:
             ),
             (
                 "{jobs: [{arrival: 0, processing: 1.5}], machines: 1}",
-                "job #1 processing must be an integer, got 1.5",
+                "job 1: processing must be an integer, got 1.5",
             ),
+            (
+                "{jobs: [{arrival: 0.5, processing: 2}], machines: 1}",
+                "job 1: arrival must be an integer, got 0.5",
+            ),
+            (
+                "{jobs: [{arrival: 0, processing: 2}], machines: 1.5}",
+                "machine count must be an integer, got 1.5",
+            ),
+            ("{class: S2, n: 2.5}", "class parameter n must be an integer, got 2.5"),
+            ("{class: S2, n: 3, m: true}", "machine count must be an integer, got True"),
             ("{class: S9, n: 3}", "'S9' is not a valid ClassId"),
             ("{class: S2, n: 0}", "class parameter n must be >= 1, got 0"),
             ("{class: S2, n: 3, m: 0}", "machine count must be >= 1, got 0"),

@@ -46,6 +46,14 @@ class TestParseClassStanza:
         with pytest.raises(ParseError):
             parse_instance('{class: "S2", n: 3, speed: 2}')
 
+    def test_stanza_keys_are_the_spec_fields(self):
+        inst = parse_instance('{class: parametric, n: 3, m: 2, processing_override: 4}')
+        assert inst == generate(ClassSpec("parametric", n=3, m=2, processing_override=4))
+        # "class" is the stanza's name for class_id; the field name itself
+        # is not a stanza key.
+        with pytest.raises(ParseError, match="unknown class stanza keys: \\['class_id'\\]"):
+            parse_instance('{class: S2, class_id: S3, n: 3}')
+
     def test_bad_class_name(self):
         with pytest.raises(ParseError):
             parse_instance('{class: "S9", n: 3}')

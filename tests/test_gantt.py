@@ -192,6 +192,14 @@ class TestRejection:
             render_gantt(broken, "ascii")
         assert "job 1 received 1 of 2 units" in str(err.value)
 
+    @pytest.mark.parametrize("style", ["ascii", "svg"])
+    def test_makespan_that_is_not_an_int_is_refused(self, style):
+        inst = Instance(jobs=(Job(1, 0, 2),), machines=2)
+        broken = Schedule(inst, (Segment(1, 1, 0, 2),), 2.0)
+        with pytest.raises(ValueError) as err:
+            render_gantt(broken, style)
+        assert "makespan must be an integer, got 2.0" in str(err.value)
+
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):
             render_gantt(_hand_trace_schedule(), "png")

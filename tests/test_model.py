@@ -73,6 +73,12 @@ class TestJobAndInstance:
         with pytest.raises(ValueError):
             Instance(jobs=(Job(1, 0, 1),), machines=0)
 
+    @pytest.mark.parametrize("machines", [1.5, 1.0, True, "1", None])
+    def test_instance_rejects_a_machine_count_that_is_not_an_int(self, machines):
+        with pytest.raises(ValueError) as exc:
+            Instance(jobs=(Job(1, 0, 1),), machines=machines)
+        assert str(exc.value) == f"machine count must be an integer, got {machines!r}"
+
     def test_instance_rejects_duplicate_or_gapped_ids(self):
         with pytest.raises(ValueError):
             Instance(jobs=(Job(1, 0, 1), Job(1, 0, 1)), machines=1)
@@ -149,12 +155,23 @@ class TestJob:
             ((0, 0, 1), "job id must be >= 1, got 0"),
             ((1, -1, 1), "job 1: arrival must be >= 0, got -1"),
             ((1, 0, 0), "job 1: processing must be >= 1, got 0"),
+            ((1, 0, 2.5), "job 1: processing must be an integer, got 2.5"),
+            ((1, 0.5, 2), "job 1: arrival must be an integer, got 0.5"),
+            ((True, 0, 2), "job id must be an integer, got True"),
+            ((1, "0", 2), "job 1: arrival must be an integer, got '0'"),
+            ((1, 0, None), "job 1: processing must be an integer, got None"),
         ],
     )
     def test_each_check_has_its_message(self, fields, message):
         with pytest.raises(ValueError) as exc:
             Job(*fields)
         assert str(exc.value) == message
+
+    def test_int_subclasses_other_than_bool_pass(self):
+        class Tick(int):
+            pass
+
+        assert Job(Tick(1), 0, Tick(2)) == Job(1, 0, 2)
 
     def test_every_constructor_runs_the_checks(self):
         with pytest.raises(ValueError):
@@ -211,6 +228,10 @@ class TestSegment:
             ((1, 0, 0, 2), "segment machine must be >= 1, got 0"),
             ((1, 1, -1, 2), "segment start must be >= 0, got -1"),
             ((1, 1, 2, 2), "segment must satisfy start < end, got [2,2)"),
+            ((1, 1, 0.5, 2), "segment start must be an integer, got 0.5"),
+            ((1, 1, 0, 2.0), "segment end must be an integer, got 2.0"),
+            ((1, False, 0, 2), "segment machine must be an integer, got False"),
+            ((1.0, 1, 0, 2), "segment job id must be an integer, got 1.0"),
         ],
     )
     def test_each_check_has_its_message(self, fields, message):
@@ -313,6 +334,11 @@ class TestValidateSchedule:
     def test_makespan_mismatch(self):
         s = Schedule(_one_job_instance(), (Segment(1, 1, 0, 2),), makespan=5)
         assert any("makespan 5" in v for v in validate_schedule(s))
+
+    def test_makespan_that_is_not_an_int(self):
+        # 2.0 equals the latest segment end, so only the type gives it away.
+        s = Schedule(_one_job_instance(), (Segment(1, 1, 0, 2),), makespan=2.0)
+        assert validate_schedule(s) == ["makespan must be an integer, got 2.0"]
 
     def test_unknown_job_and_machine_out_of_range(self):
         inst = _one_job_instance()

@@ -92,6 +92,25 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ClassSpec(ClassId.S2, n=2, m=0)
 
+    @pytest.mark.parametrize(
+        "class_id, fields, message",
+        [
+            (ClassId.S2, {"n": 2.5}, "class parameter n must be an integer, got 2.5"),
+            (ClassId.S2, {"n": "3"}, "class parameter n must be an integer, got '3'"),
+            (ClassId.S2, {"n": 3, "m": True}, "machine count must be an integer, got True"),
+            (ClassId.S2, {"n": 3, "m": 1.5}, "machine count must be an integer, got 1.5"),
+            (
+                ClassId.PARAMETRIC,
+                {"n": 3, "processing_override": 4.0},
+                "processing_override must be an integer, got 4.0",
+            ),
+        ],
+    )
+    def test_sizes_that_are_not_ints(self, class_id, fields, message):
+        with pytest.raises(ValueError) as exc:
+            ClassSpec(class_id, **fields)
+        assert str(exc.value) == message
+
     def test_string_ids_are_coerced(self):
         spec = ClassSpec("S2", n=2, s3_interpretation=None)
         assert spec.class_id is ClassId.S2
