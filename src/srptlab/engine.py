@@ -174,13 +174,12 @@ def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
 
     A machine's segments close in time order and never start together, so
     concatenating the machines gives Schedule.from_segments' order without
-    a sort; the makespan is the last epoch's time.
+    a sort.
     """
     sticky = Migration(migration) is Migration.STICKY
     free = list(range(1, inst.machines + 1))  # sticky: idle machines, a min-heap
     held: dict[int, tuple[int, int]] = {}  # running job -> (machine, start)
     closed: list[list[Segment]] = [[] for _ in range(inst.machines)]  # in time order
-    t = 0
     for t, running, _, stopped, started in log:
         for job_id in stopped:
             machine, start = held.pop(job_id)
@@ -198,7 +197,7 @@ def place(inst: Instance, log: Iterable, migration: Migration) -> Schedule:
                 elif was[0] != machine:
                     closed[was[0] - 1].append(Segment(job_id, was[0], was[1], t))
                     held[job_id] = (machine, t)
-    return Schedule(inst, [seg for segs in closed for seg in segs], t)
+    return Schedule(inst, [seg for segs in closed for seg in segs])
 
 
 def simulate_srpt(

@@ -22,7 +22,7 @@ import csv
 import io
 from dataclasses import fields
 
-from .model import Instance, Job, Schedule, Segment, validate_schedule
+from .model import Instance, Job, Schedule, Segment, _refuse_invalid
 from .workloads import ClassSpec, generate
 
 
@@ -127,11 +127,9 @@ def _csv_text(header, rows) -> str:
 
 
 def schedule_to_csv(s: Schedule) -> str:
-    """Dump a validated schedule; an invalid one is refused with its
-    violation list, as render_gantt refuses it."""
-    violations = validate_schedule(s)
-    if violations:
-        raise ValueError("cannot dump an invalid schedule: " + "; ".join(violations))
+    """Dump a validated schedule; an invalid one is refused with its first
+    violations, as render_gantt refuses it."""
+    _refuse_invalid(s, "dump")
     return _csv_text(SCHEDULE_COLUMNS, s.segments)
 
 

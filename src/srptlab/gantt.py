@@ -17,7 +17,7 @@ from __future__ import annotations
 import io
 from typing import Callable
 
-from .model import Schedule, Segment, validate_schedule
+from .model import Schedule, Segment, _refuse_invalid
 
 SVG_UNIT = 24  # horizontal pixels per time unit
 SVG_ROW = 26  # machine row height
@@ -43,13 +43,11 @@ SVG_PALETTE = (
 
 def render_gantt(s: Schedule, style: str = "ascii") -> bytes:
     """Render a validated schedule; an unknown style is refused first, then
-    invalid schedules with their violation list, and charts over the size
+    invalid schedules with their first violations, and charts over the size
     limits with their size."""
     if style not in ("ascii", "svg"):
         raise ValueError(f"unknown gantt style {style!r}; use 'ascii' or 'svg'")
-    violations = validate_schedule(s)
-    if violations:
-        raise ValueError("cannot render an invalid schedule: " + "; ".join(violations))
+    _refuse_invalid(s, "render")
     if style == "svg" and s.makespan > SVG_MAX_UNITS:
         raise ValueError(
             f"SVG Gantt chart too large: makespan {s.makespan} time units,"

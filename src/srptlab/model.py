@@ -152,11 +152,13 @@ _SCHEDULE_ORDER = attrgetter("machine", "start", "job_id")
 _MACHINE_SCAN = attrgetter("start", "end", "job_id")
 _JOB_SCAN = attrgetter("start", "end", "machine")
 _RELEASE_ORDER = attrgetter("job_id", "start")
+_END = attrgetter("end")
 
 
 @dataclass(frozen=True)
 class Schedule:
-    """Execution segments for an instance plus the resulting makespan.
+    """Execution segments for an instance. Its makespan, the latest segment
+    end (0 without segments), is derived from them when it is built.
 
     Construction does not validate: broken schedules are representable so
     that validate_schedule can report their violations as data. A schedule
@@ -166,18 +168,18 @@ class Schedule:
 
     instance: Instance
     segments: tuple[Segment, ...]
-    makespan: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
+        # Set here, not by a second cached_property: on CPython 3.11 that
+        # would grow every validated schedule's __dict__ by about 170 bytes.
+        object.__setattr__(self, "makespan", max(map(_END, segments), default=0))
 
     @classmethod
     def from_segments(cls, instance: Instance, segments) -> Schedule:
-        """Build a schedule with segments in (machine, start) order and the
-        makespan derived from the latest segment end."""
-        ordered = tuple(sorted(segments, key=_SCHEDULE_ORDER))
-        makespan = max((s.end for s in ordered), default=0)
-        return cls(instance=instance, segments=ordered, makespan=makespan)
+        """Build a schedule with segments in (machine, start, job id) order."""
+        return cls(instance, tuple(sorted(segments, key=_SCHEDULE_ORDER)))
 
     def completion_times(self) -> dict[int, int]:
         """Latest segment end per job id (only jobs that have segments)."""
@@ -192,31 +194,40 @@ class Schedule:
 
 
 def _overlaps(segs: list[Segment]):
-    """Yield (a, b, (lo, hi)) for every overlapping pair of segs, which must
-    be sorted by start. The scan from a stops at the first b starting at or
-    after a's end: every later segment starts later still, and every b before
-    it overlaps a. So a group costs O(len(segs) + pairs yielded)."""
-    count = len(segs)
-    for i, a in enumerate(segs):
-        for j in range(i + 1, count):
-            b = segs[j]
-            if b.start >= a.end:
-                break
+    """Yield (a, b, (lo, hi)) once for each b of segs, which must be sorted
+    by start, that starts before a ends, a being the earlier segment that
+    ends last (the first such on a tie). No earlier segment ends after a, so
+    every instant two segments share lies in a yielded [lo, hi)."""
+    a = None
+    for b in segs:
+        if a is not None and b.start < a.end:
             yield a, b, (b.start, min(a.end, b.end))
+        if a is None or b.end > a.end:
+            a = b
 
 
 def validate_schedule(s: Schedule) -> list[str]:
     """Check every schedule invariant; return one message per violation.
 
     An empty list means the schedule is valid. Checked, in order: segment
-    references (job exists, machine in range), an integer makespan equal to
-    the latest segment end, work conservation per job, machine overlaps, a
-    job running on two machines at once, and release respect. The first
-    call on a schedule costs O(S log S) for S segments, plus one step per
-    violation reported; later calls reuse its verdict. Each call returns a
-    fresh list.
+    references (job exists, machine in range), work conservation per job,
+    machine overlaps, a job running on two machines at once, and release
+    respect. The first call on a schedule costs O(S log S) for S segments,
+    with at most one overlap message per segment per group (a machine or a
+    job); later calls reuse its verdict. Each call returns a fresh list.
     """
     return list(s._violations)
+
+
+def _refuse_invalid(s: Schedule, action: str) -> None:
+    """Raise ValueError("cannot <action> an invalid schedule: ...") if s has
+    violations, naming the first five and counting the rest, so the message
+    stays one short line however broken s is."""
+    violations = validate_schedule(s)
+    if violations:
+        more = f" (and {len(violations) - 5} more)" if len(violations) > 5 else ""
+        named = "; ".join(violations[:5])
+        raise ValueError(f"cannot {action} an invalid schedule: {named}{more}")
 
 
 def _schedule_violations(s: Schedule) -> list[str]:
@@ -240,14 +251,6 @@ def _schedule_violations(s: Schedule) -> list[str]:
                 f"segment on machine {seg.machine} but instance has"
                 f" {machines} machines"
             )
-
-    latest = max((seg.end for seg in s.segments), default=0)
-    try:
-        _check_int(s.makespan, "makespan")
-    except ValueError as exc:
-        violations.append(str(exc))
-    if s.makespan != latest:
-        violations.append(f"makespan {s.makespan} != latest segment end {latest}")
 
     for job in s.instance.jobs:
         got = sum(seg.end - seg.start for seg in by_job.get(job.id, ()))

@@ -888,6 +888,14 @@ class TestUsageAndErrors:
                 "cannot infer job 7 (no segments); pass the instance file",
                 id="dump-many-jobs-one-gap",
             ),
+            # 3,000 jobs all on machine 1 over [0,1): one overlap message per
+            # segment after the first, of which the refusal names five.
+            pytest.param(
+                "render",
+                "job,machine,start,end\n" + "".join(f"{j},1,0,1\n" for j in range(1, 3001)),
+                "machine 1 overlap on [0,1) (and 2994 more)",
+                id="dump-all-overlap",
+            ),
             pytest.param(
                 "render --style svg",
                 "job,machine,start,end\n1,100,0,1\n",

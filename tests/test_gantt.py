@@ -21,6 +21,7 @@ from srptlab import (
     validate_schedule,
 )
 from srptlab import gantt
+from srptlab.files import schedule_to_csv
 from srptlab.gantt import render_gantt
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
@@ -192,13 +193,21 @@ class TestRejection:
             render_gantt(broken, "ascii")
         assert "job 1 received 1 of 2 units" in str(err.value)
 
-    @pytest.mark.parametrize("style", ["ascii", "svg"])
-    def test_makespan_that_is_not_an_int_is_refused(self, style):
-        inst = Instance(jobs=(Job(1, 0, 2),), machines=2)
-        broken = Schedule(inst, (Segment(1, 1, 0, 2),), 2.0)
+    @pytest.mark.parametrize("count, tail", [(5, ""), (7, " (and 2 more)")])
+    @pytest.mark.parametrize(
+        "refuse, action",
+        [(lambda s: render_gantt(s, "svg"), "render"), (schedule_to_csv, "dump")],
+        ids=["render", "dump"],
+    )
+    def test_refusal_names_at_most_five_violations(self, count, tail, refuse, action):
+        # Job i runs i + 1 of its i units on machine i: one breach per job.
+        jobs = range(1, count + 1)
+        inst = Instance(jobs=tuple(Job(i, 0, i) for i in jobs), machines=count)
+        broken = Schedule.from_segments(inst, [Segment(i, i, 0, i + 1) for i in jobs])
+        named = "; ".join(f"job {i} received {i + 1} of {i} units" for i in range(1, 6))
         with pytest.raises(ValueError) as err:
-            render_gantt(broken, style)
-        assert "makespan must be an integer, got 2.0" in str(err.value)
+            refuse(broken)
+        assert str(err.value) == f"cannot {action} an invalid schedule: {named}{tail}"
 
     def test_unknown_style_rejected(self):
         with pytest.raises(ValueError):

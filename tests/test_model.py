@@ -331,14 +331,24 @@ class TestValidateSchedule:
         s = Schedule.from_segments(inst, [Segment(1, 1, 0, 2)])
         assert any("before arrival 3" in v for v in validate_schedule(s))
 
-    def test_makespan_mismatch(self):
-        s = Schedule(_one_job_instance(), (Segment(1, 1, 0, 2),), makespan=5)
-        assert any("makespan 5" in v for v in validate_schedule(s))
+    @pytest.mark.parametrize("k", [2, 3, 10, 50])
+    def test_mutual_overlaps_give_one_message_per_later_segment(self, k):
+        # k segments over [0,2) on one machine: k - 1 messages, not k(k - 1)/2.
+        inst = Instance(jobs=tuple(Job(i, 0, 2) for i in range(1, k + 1)), machines=1)
+        s = Schedule.from_segments(inst, [Segment(i, 1, 0, 2) for i in range(1, k + 1)])
+        assert validate_schedule(s) == ["machine 1 overlap on [0,2)"] * (k - 1)
 
-    def test_makespan_that_is_not_an_int(self):
-        # 2.0 equals the latest segment end, so only the type gives it away.
-        s = Schedule(_one_job_instance(), (Segment(1, 1, 0, 2),), makespan=2.0)
-        assert validate_schedule(s) == ["makespan must be an integer, got 2.0"]
+    def test_overlap_is_reported_against_the_segment_that_ends_last(self):
+        # [2,3) starts inside both [0,4) and [1,6); it is reported against
+        # [1,6), which ends last, and [1,6) against [0,4) on [1,4).
+        inst = Instance(jobs=(Job(1, 0, 4), Job(2, 0, 5), Job(3, 0, 1)), machines=1)
+        s = Schedule.from_segments(
+            inst, [Segment(1, 1, 0, 4), Segment(2, 1, 1, 6), Segment(3, 1, 2, 3)]
+        )
+        assert validate_schedule(s) == [
+            "machine 1 overlap on [1,4)",
+            "machine 1 overlap on [2,3)",
+        ]
 
     def test_unknown_job_and_machine_out_of_range(self):
         inst = _one_job_instance()
@@ -355,6 +365,27 @@ class TestValidateSchedule:
         assert s.makespan == 2
         assert [seg.machine for seg in s.segments] == [1, 2]
         assert s.completion_times() == {1: 2, 2: 2}
+
+
+class TestMakespan:
+    @pytest.mark.parametrize(
+        "segments, makespan",
+        [
+            ((), 0),
+            ((Segment(1, 1, 0, 2),), 2),
+            ((Segment(1, 2, 3, 7), Segment(1, 1, 0, 2), Segment(2, 1, 2, 5)), 7),
+        ],
+    )
+    def test_is_the_latest_segment_end(self, segments, makespan):
+        assert Schedule(_one_job_instance(), segments).makespan == makespan
+
+    def test_is_not_a_field_and_cannot_be_set(self):
+        assert [f.name for f in dataclasses.fields(Schedule)] == ["instance", "segments"]
+        with pytest.raises(TypeError):
+            Schedule(_one_job_instance(), (Segment(1, 1, 0, 2),), 5)
+        s = Schedule(_one_job_instance(), (Segment(1, 1, 0, 2),))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.makespan = 5
 
 
 class TestValidateOnce:
@@ -382,10 +413,11 @@ class TestValidateOnce:
 
     def test_replaced_schedule_is_checked_afresh(self):
         s = Schedule.from_segments(_one_job_instance(), [Segment(1, 1, 0, 2)])
-        assert validate_schedule(s) == []
-        later = dataclasses.replace(s, makespan=s.makespan + 1)
-        assert validate_schedule(later) == ["makespan 3 != latest segment end 2"]
-        assert validate_schedule(s) == []
+        assert (s.makespan, validate_schedule(s)) == (2, [])
+        later = dataclasses.replace(s, segments=(Segment(1, 1, 0, 3),))
+        assert later.makespan == 3
+        assert validate_schedule(later) == ["job 1 received 3 of 2 units"]
+        assert (s.makespan, validate_schedule(s)) == (2, [])
 
     @pytest.mark.parametrize("validated_first", [False, True])
     def test_pickle_round_trip_keeps_the_verdict(self, validated_first):
