@@ -100,7 +100,7 @@ def _load_instance(args) -> Instance:
 def _check_files(outputs, inputs=()) -> None:
     """Refuse, before any work, outputs that cannot be written as files and
     any two flags, inputs included, that name one file. outputs and inputs
-    are (flag, path) pairs; a None path is not given."""
+    are (flag or name, path) pairs; a None path is not given."""
     outputs = [(flag, Path(path)) for flag, path in outputs if path is not None]
     seen = {}
     for flag, path in [(f, Path(p)) for f, p in inputs if p is not None] + outputs:
@@ -160,6 +160,7 @@ def _cmd_opt(args) -> int:
         raise _UsageError(
             f"method {args.method} runs no search; --ceiling-* needs --method brute"
         )
+    ceiling = replace(DEFAULT_CEILING, **bounds)
     _check_files([("--dump", args.dump)], [("--in", args.in_path)])
     inst = _load_instance(args)
     if args.method == "paper":
@@ -167,7 +168,6 @@ def _cmd_opt(args) -> int:
     elif args.method == "mcnaughton":
         label, result = "mcnaughton", mcnaughton(inst)
     else:
-        ceiling = replace(DEFAULT_CEILING, **bounds)
         result = brute_force_opt(inst, args.respect_releases, ceiling)
         label = (
             "brute-force-with-releases"
@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
     _check_files([("--out", args.out)])
     rows = []
     for n in range(args.n_min, args.n_max + 1):
-        m = n if args.m == "n" else args.m
+        m = n if args.m is None else args.m
         inst = generate(_family_spec(args, n, m))
         rows.append((args.class_id, n, m, *measure(inst)))
     _deliver([(args.out, emit_sweep(rows, args.format))])
@@ -197,13 +197,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise _UsageError("need 1 <= --n-min <= --n-max")
-    if args.discrepancies and not args.out:
-        raise _UsageError("--discrepancies needs --out PATH")
-    out = disc_path = None
-    if args.out:
-        out = Path(args.out)
-        disc_path = Path(args.discrepancies or f"{out.with_suffix('')}-discrepancies.txt")
-    _check_files([("--out", out), ("--discrepancies", disc_path)])
+    out = Path(args.out) if args.out else None
+    disc_path = out and Path(f"{out.with_suffix('')}-discrepancies.txt")
+    _check_files([("--out", out), ("the discrepancy report", disc_path)])
     rows = verify_all(range(args.n_min, args.n_max + 1))
     table = emit_report(rows, args.format)
     disc = discrepancy_report(rows).encode("utf-8")
@@ -230,24 +226,6 @@ def _cmd_render(args) -> int:
     )
     _deliver([(args.out, render_gantt(schedule, args.style))])
     return 0
-
-
-def _positive_int(text: str) -> int:
-    if text.isdecimal() and int(text) >= 1:
-        return int(text)
-    raise argparse.ArgumentTypeError(f"want a positive integer, got {text!r}")
-
-
-def _sweep_machines(text: str):
-    """sweep --m: 'n' or a positive integer."""
-    if text == "n":
-        return text
-    try:
-        return _positive_int(text)
-    except argparse.ArgumentTypeError:
-        raise argparse.ArgumentTypeError(
-            f"want 'n' or a positive integer, got {text!r}"
-        ) from None
 
 
 def build_parser() -> _Parser:
@@ -291,8 +269,8 @@ def build_parser() -> _Parser:
     for flag in ("--ceiling-jobs", "--ceiling-machines", "--ceiling-work"):
         p_opt.add_argument(
             flag,
-            type=_positive_int,
-            help="brute only: override this search-ceiling bound",
+            type=int,
+            help="brute only: override this search-ceiling bound (an integer >= 1)",
         )
     p_opt.add_argument("--dump", help="write the witness schedule as CSV segments")
     p_opt.set_defaults(func=_cmd_opt)
@@ -309,10 +287,7 @@ def build_parser() -> _Parser:
     p_sweep.add_argument("--n-min", type=int, default=2)
     p_sweep.add_argument("--n-max", type=int, default=16)
     p_sweep.add_argument(
-        "--m",
-        type=_sweep_machines,
-        default="n",
-        help="machine count: a positive integer or 'n' to track the family parameter",
+        "--m", type=int, help="machine count (default: m = n at each n)"
     )
     _add_family_options(p_sweep)
     p_sweep.add_argument("--format", choices=["text", "csv"], default="text")
@@ -327,9 +302,8 @@ def build_parser() -> _Parser:
     p_verify.add_argument("--n-min", type=int, default=2)
     p_verify.add_argument("--n-max", type=int, default=64)
     p_verify.add_argument("--format", choices=["text", "csv"], default="text")
-    p_verify.add_argument("--out", help="verdict table path (default: stdout)")
     p_verify.add_argument(
-        "--discrepancies", help="discrepancy report path (default: beside --out)"
+        "--out", help="verdict table path X.ext; the report goes to X-discrepancies.txt"
     )
     p_verify.set_defaults(func=_cmd_verify)
 

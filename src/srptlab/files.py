@@ -22,7 +22,7 @@ import csv
 import io
 from dataclasses import fields
 
-from .model import Instance, Job, Schedule, Segment, _refuse_invalid
+from .model import Instance, Job, Schedule, Segment, _quote, _refuse_invalid
 from .workloads import ClassSpec, generate
 
 
@@ -81,7 +81,7 @@ def _parse_class_stanza(doc: dict) -> ClassSpec:
     rest = {key: value for key, value in doc.items() if key != "class"}
     unknown = set(rest) - _CLASS_KEYS
     if unknown:
-        raise ParseError(f"unknown class stanza keys: {sorted(unknown, key=str)}")
+        raise ParseError(f"unknown class stanza keys: {_quote(sorted(unknown, key=str))}")
     if "n" not in rest:
         raise ParseError("class stanza needs 'n'")
     return ClassSpec(class_id=doc["class"], **rest)
@@ -90,12 +90,12 @@ def _parse_class_stanza(doc: dict) -> ClassSpec:
 def _parse_job_list(doc: dict) -> Instance:
     unknown = set(doc) - _INSTANCE_KEYS
     if unknown:
-        raise ParseError(f"unknown instance keys: {sorted(unknown, key=str)}")
+        raise ParseError(f"unknown instance keys: {_quote(sorted(unknown, key=str))}")
     if "machines" not in doc:
         raise ParseError("explicit instance needs 'machines'")
     raw_jobs = doc["jobs"]
     if not isinstance(raw_jobs, list):
-        raise ParseError(f"'jobs' must be a list, got {raw_jobs!r}")
+        raise ParseError(f"'jobs' must be a list, got {_quote(raw_jobs)}")
 
     with_ids = [isinstance(j, dict) and "id" in j for j in raw_jobs]
     if any(with_ids) and not all(with_ids):
@@ -104,10 +104,10 @@ def _parse_job_list(doc: dict) -> Instance:
     jobs = []
     for pos, raw in enumerate(raw_jobs, start=1):
         if not isinstance(raw, dict):
-            raise ParseError(f"job #{pos} must be a mapping, got {raw!r}")
+            raise ParseError(f"job #{pos} must be a mapping, got {_quote(raw)}")
         unknown = set(raw) - _JOB_KEYS
         if unknown:
-            raise ParseError(f"job #{pos}: unknown keys {sorted(unknown, key=str)}")
+            raise ParseError(f"job #{pos}: unknown keys {_quote(sorted(unknown, key=str))}")
         for key in ("arrival", "processing"):
             if key not in raw:
                 raise ParseError(f"job #{pos} needs '{key}'")
@@ -155,7 +155,7 @@ def schedule_from_csv(text: str, instance: Instance | None = None) -> Schedule:
         try:
             job, machine, start, end = (int(cell) for cell in row)
         except ValueError:
-            raise ParseError(f"schedule row {pos} has non-integer cells: {row}")
+            raise ParseError(f"schedule row {pos} has non-integer cells: {_quote(row)}")
         try:
             segments.append(Segment(job, machine, start, end))
         except ValueError as exc:

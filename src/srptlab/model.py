@@ -14,13 +14,28 @@ from operator import attrgetter
 from typing import NamedTuple
 
 
+_QUOTE_LIMIT = 60
+
+
+def _quote(value, top: bool = True) -> str:
+    """value's repr for an error message, bounded: a list names its first five
+    entries and counts the rest, and a repr (an entry's too) longer than
+    _QUOTE_LIMIT characters is cut there and states its full length."""
+    if top and isinstance(value, list):
+        more = f" (and {len(value) - 5} more)" if len(value) > 5 else ""
+        return f"[{', '.join(_quote(v, False) for v in value[:5])}]{more}"
+    text = repr(value)
+    cut = f"... ({len(text)} characters)" if len(text) > _QUOTE_LIMIT else ""
+    return text[:_QUOTE_LIMIT] + cut
+
+
 def _check_int(value, what: str, low: int | None = None) -> None:
-    """The one check of an integer value, here and in ClassSpec: an int but
-    not a bool, and >= low when low is given."""
+    """The one check of an integer value, here, in ClassSpec and in
+    SearchCeiling: an int but not a bool, and >= low when low is given."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
+        raise ValueError(f"{what} must be an integer, got {_quote(value)}")
     if low is not None and value < low:
-        raise ValueError(f"{what} must be >= {low}, got {value}")
+        raise ValueError(f"{what} must be >= {low}, got {_quote(value)}")
 
 
 class _JobFields(NamedTuple):

@@ -18,9 +18,9 @@ Three routes, deliberately independent of the online simulator:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .model import Instance, Schedule, Segment
+from .model import Instance, Schedule, Segment, _check_int, _quote
 
 
 @dataclass(frozen=True)
@@ -40,11 +40,15 @@ class SearchCeilingError(ValueError):
 @dataclass(frozen=True)
 class SearchCeiling:
     """Refusal bounds for brute_force_opt, sized so the oracle test suite
-    runs in seconds."""
+    runs in seconds. Each bound is an integer >= 1."""
 
     max_jobs: int = 6
     max_machines: int = 4
     max_total_work: int = 30
+
+    def __post_init__(self) -> None:
+        for field in fields(self):
+            _check_int(getattr(self, field.name), f"search ceiling {field.name}", 1)
 
 
 DEFAULT_CEILING = SearchCeiling()
@@ -61,7 +65,7 @@ def _indexed_round_makespan(inst: Instance) -> int:
     if len(lengths) > 1:
         raise UnsupportedInstanceError(
             "the indexed-round baseline is defined only for equal processing"
-            f" times (saw {sorted(lengths)}); use mcnaughton() or"
+            f" times (saw {_quote(sorted(lengths))}); use mcnaughton() or"
             " brute_force_opt() instead"
         )
     return _ceil_div(inst.job_count, inst.machines) * lengths.pop()

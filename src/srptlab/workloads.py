@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .model import Instance, Job, _check_int
+from .model import Instance, Job, _check_int, _quote
 
 
 class ClassId(str, Enum):
@@ -35,6 +35,13 @@ class S3Interpretation(str, Enum):
     THEOREM_N_PLUS_2 = "theorem-n-plus-2"
 
 
+def _member(enum, value):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ValueError(f"{_quote(value)} is not a valid {enum.__name__}") from None
+
+
 @dataclass(frozen=True)
 class ClassSpec:
     """A family id plus its size parameter n and optional overrides."""
@@ -46,11 +53,10 @@ class ClassSpec:
     s3_interpretation: S3Interpretation | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "class_id", ClassId(self.class_id))
+        object.__setattr__(self, "class_id", _member(ClassId, self.class_id))
         if self.s3_interpretation is not None:
-            object.__setattr__(
-                self, "s3_interpretation", S3Interpretation(self.s3_interpretation)
-            )
+            interp = _member(S3Interpretation, self.s3_interpretation)
+            object.__setattr__(self, "s3_interpretation", interp)
         _check_int(self.n, "class parameter n", 1)
         if self.m is not None:
             _check_int(self.m, "machine count", 1)

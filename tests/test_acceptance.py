@@ -288,7 +288,7 @@ def test_c8_determinism_and_golden_files(sweep, tmp_path, capsys):
     disc_b = (tmp_path / "verify_1-discrepancies.txt").read_bytes()
     assert disc_a == disc_b
     assert a == (OUT / "verdicts.csv").read_bytes()
-    assert disc_a == (OUT / "discrepancies.txt").read_bytes()
+    assert disc_a == (OUT / "verdicts-discrepancies.txt").read_bytes()
     assert emit_report(sweep, "text") == (OUT / "verdicts.txt").read_bytes()
 
 

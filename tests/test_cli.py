@@ -12,6 +12,8 @@ from srptlab.oracles import OptResult
 
 GOLDEN = Path(__file__).parent / "golden" / "gantt_s1_n2_m2_sticky.txt"
 SRC = Path(__file__).resolve().parent.parent / "src"
+# A 100,000-character schedule cell or YAML value.
+LONG = "x" * 100_000
 
 
 def run(*argv, capsys=None):
@@ -381,14 +383,27 @@ class TestOpt:
     )
     @pytest.mark.parametrize("value", ["0", "-1", "x"])
     def test_ceiling_flags_must_be_positive(self, tmp_path, capsys, flag, value):
-        # A parse-time usage error: the instance file does not exist.
+        # Refused before the input is read: the instance file does not exist.
+        # A non-integer is a parse-time usage error; SearchCeiling refuses
+        # an integer below 1.
         code, out, err = run(
             "opt", "--method", "brute", flag, value, "--in", str(tmp_path / "none.txt"),
             capsys=capsys,
         )
         assert code == 1
-        assert f"usage error: argument {flag}: want a positive integer" in err
+        if value == "x":
+            assert err.startswith(f"usage error: argument {flag}: invalid int value")
+        else:
+            field = CEILING_FIELDS[flag]
+            assert err == f"error: search ceiling {field} must be >= 1, got {value}\n"
         assert out == ""
+
+
+CEILING_FIELDS = {
+    "--ceiling-jobs": "max_jobs",
+    "--ceiling-machines": "max_machines",
+    "--ceiling-work": "max_total_work",
+}
 
 
 DEFAULT_SUMMARY = [
@@ -448,25 +463,36 @@ class TestVerify:
             capsys=capsys,
         )
         assert code == 1
-        assert "usage error" in err
-        assert "--out" in err
+        assert err.startswith("usage error: unrecognized arguments: --discrepancies")
         assert out == ""
         assert not disc.exists()
 
-    @pytest.mark.parametrize("missing", ["--out", "--discrepancies"])
+    def test_discrepancies_flag_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # The report's path is derived from --out; no flag names it.
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify_all ran")
+
+        monkeypatch.setattr(cli, "verify_all", refuse)
+        code, out, err = run(
+            "verify-theorems", "--n-max", "2", "--out", str(tmp_path / "v.csv"),
+            "--discrepancies", str(tmp_path / "d.txt"),
+            capsys=capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage error: unrecognized arguments: --discrepancies")
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_output_into_missing_directory_is_refused(
-        self, tmp_path, capsys, monkeypatch, missing
+        self, tmp_path, capsys, monkeypatch
     ):
         def refuse(*args, **kwargs):
             raise AssertionError("verify_all ran")
 
         monkeypatch.setattr(cli, "verify_all", refuse)
-        paths = {"--out": tmp_path / "v.csv", "--discrepancies": tmp_path / "d.txt"}
-        paths[missing] = tmp_path / "missing" / paths[missing].name
         code, out, err = run(
             "verify-theorems", "--n-max", "2",
-            "--out", str(paths["--out"]),
-            "--discrepancies", str(paths["--discrepancies"]),
+            "--out", str(tmp_path / "missing" / "v.csv"),
             capsys=capsys,
         )
         assert code == 1
@@ -479,20 +505,20 @@ class TestVerify:
     def test_one_file_for_table_and_report_is_refused(
         self, tmp_path, capsys, monkeypatch, spelling
     ):
+        # The report's derived path is a link to the table, by its absolute
+        # path or by a dotted relative one.
         def refuse(*args, **kwargs):
             raise AssertionError("verify_all ran")
 
         monkeypatch.setattr(cli, "verify_all", refuse)
         table = tmp_path / "report.csv"
-        disc = table if spelling == "same" else tmp_path / "." / "report.csv"
+        target = table if spelling == "same" else "./report.csv"
+        (tmp_path / "report-discrepancies.txt").symlink_to(target)
         code, out, err = run(
-            "verify-theorems", "--n-max", "2", "--out", str(table),
-            "--discrepancies", str(disc),
-            capsys=capsys,
+            "verify-theorems", "--n-max", "2", "--out", str(table), capsys=capsys
         )
         assert code == 1
-        assert "usage error" in err
-        assert "same file" in err
+        assert err == "usage error: --out and the discrepancy report name the same file\n"
         assert out == ""
         assert not table.exists()
 
@@ -542,7 +568,28 @@ class TestSweep:
         assert code == 0
         assert out == (GOLDEN.parent / (golden + suffix)).read_text()
 
-    @pytest.mark.parametrize("m", ["abc", "0", "-2"])
+    def test_machine_count_defaults_to_n(self, capsys):
+        # S1 needs a machine count; without --m, sweep gives m = n at each n.
+        code, out, _ = run(
+            "sweep", "--class", "S1", "--n-min", "2", "--n-max", "6", "--format", "csv",
+            capsys=capsys,
+        )
+        assert code == 0
+        header, *rows = out.splitlines()
+        expected = []
+        for k in range(2, 7):
+            code, one, _ = run(
+                "sweep", "--class", "S1", "--n-min", str(k), "--n-max", str(k),
+                "--m", str(k), "--format", "csv",
+                capsys=capsys,
+            )
+            assert code == 0
+            assert one.splitlines()[0] == header
+            expected += one.splitlines()[1:]
+        assert rows == expected
+        assert {row.split(",")[1] for row in rows} == {"2", "3", "4", "5", "6"}
+
+    @pytest.mark.parametrize("m", ["abc", "n"])
     def test_bad_machine_count_is_usage_error(self, capsys, monkeypatch, m):
         def refuse(*args, **kwargs):
             raise AssertionError("measure ran")
@@ -611,8 +658,9 @@ VERIFY = "verify-theorems --n-max 2"
 
 class TestOutputTargets:
     """Every command refuses a bad output target before its work runs. {t}
-    is a directory holding an instance file, a schedule dump and an empty
-    directory sub/."""
+    is a directory holding an instance file, a schedule dump, the empty
+    directories sub/ and D-discrepancies.txt/, and a link
+    L-discrepancies.txt to L.csv, which does not exist."""
 
     # (argv, the function whose call is the command's work, the error text)
     CASES = {
@@ -667,19 +715,19 @@ class TestOutputTargets:
             "error: --out {t}/sub is a directory",
         ),
         "verify-missing-dir": (
-            VERIFY + " --out {t}/A.csv --discrepancies {t}/missing/D",
+            VERIFY + " --out {t}/missing/A.csv",
             "verify_all",
-            "error: {t}/missing/D: no such directory {t}/missing",
+            "error: {t}/missing/A.csv: no such directory {t}/missing",
         ),
         "verify-directory": (
-            VERIFY + " --out {t}/A.csv --discrepancies {t}/sub",
+            VERIFY + " --out {t}/D.csv",
             "verify_all",
-            "error: --discrepancies {t}/sub is a directory",
+            "error: the discrepancy report {t}/D-discrepancies.txt is a directory",
         ),
         "verify-one-file": (
-            VERIFY + " --out {t}/A.csv --discrepancies {t}/./A.csv",
+            VERIFY + " --out {t}/L.csv",
             "verify_all",
-            "usage error: --out and --discrepancies name the same file",
+            "usage error: --out and the discrepancy report name the same file",
         ),
         "render-missing-dir": (
             "render --in {t}/F.csv --out {t}/missing/g.txt",
@@ -725,6 +773,8 @@ class TestOutputTargets:
         (tmp_path / "s.yaml").write_text('{class: "S1", n: 2, m: 2}')
         (tmp_path / "F.csv").write_text("job,machine,start,end\n1,1,0,2\n")
         (tmp_path / "sub").mkdir()
+        (tmp_path / "D-discrepancies.txt").mkdir()
+        (tmp_path / "L-discrepancies.txt").symlink_to("L.csv")
         before = self.snapshot(tmp_path)
         code, out, err = run(*(a.format(t=tmp_path) for a in argv.split()), capsys=capsys)
         assert code == 1
@@ -875,6 +925,58 @@ class TestUsageAndErrors:
                 "schedule",
                 id="dump-nul-byte",
             ),
+            # A 100,000-character value is quoted up to 60 characters.
+            pytest.param(
+                "render",
+                "job,machine,start,end\n1,1,0," + LONG + "\n",
+                "schedule row 2 has non-integer cells: ['1', '1', '0', 'xxx",
+                id="dump-long-cell",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                f'{{jobs: [{{arrival: 0, processing: "{LONG}"}}], machines: 1}}',
+                "job 1: processing must be an integer, got 'xxx",
+                id="job-long-processing",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                "{jobs: [{arrival: 0, processing: -" + "9" * 4000 + "}], machines: 1}",
+                "job 1: processing must be >= 1, got -999",
+                id="job-long-negative-processing",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                f'{{class: S2, n: 3, m: "{LONG}"}}',
+                "machine count must be an integer, got 'xxx",
+                id="stanza-long-m",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                f'{{class: "{LONG}", n: 3}}',
+                "... (100002 characters) is not a valid ClassId",
+                id="stanza-long-class",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                f'{{jobs: "{LONG}", machines: 1}}',
+                "'jobs' must be a list, got 'xxx",
+                id="jobs-long-string",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                f'{{jobs: ["{LONG}"], machines: 1}}',
+                "job #1 must be a mapping, got 'xxx",
+                id="jobs-list-of-long-string",
+            ),
+            pytest.param(
+                "simulate --gantt ascii",
+                "{jobs: [{arrival: 0, processing: 2}], machines: 1, "
+                + ", ".join(f"k{i}: 1" for i in range(20_000))
+                + "}",
+                "unknown instance keys: ['k0', 'k1', 'k10', 'k100', 'k1000']"
+                " (and 19995 more)",
+                id="instance-many-keys",
+            ),
             pytest.param(
                 "render",
                 f"job,machine,start,end\n{10**6},1,0,1\n",
@@ -922,6 +1024,41 @@ class TestUsageAndErrors:
         assert names in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["simulate", "opt", "sweep"])
+    def test_machine_count_below_one_is_one_model_error(
+        self, capsys, monkeypatch, command, m
+    ):
+        # ClassSpec is the one check of --m, so all three commands say the
+        # same; sweep measures nothing.
+        def refuse(*args, **kwargs):
+            raise AssertionError("measure ran")
+
+        monkeypatch.setattr(cli, "measure", refuse)
+        argv = {
+            "simulate": ["simulate", "--n", "2"],
+            "opt": ["opt", "--method", "paper", "--n", "2"],
+            "sweep": ["sweep"],
+        }[command]
+        code, out, err = run(*argv, "--class", "S1", "--m", m, capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: machine count must be >= 1, got {m}\n"
+
+    def test_many_distinct_lengths_are_one_short_line(self, tmp_path, capsys):
+        # 3,000 distinct lengths: the refusal names five and counts the rest.
+        jobs = [f"{{arrival: 0, processing: {i}}}" for i in range(1, 3001)]
+        path = tmp_path / "inst.yaml"
+        path.write_text("{machines: 1, jobs: [" + ", ".join(jobs) + "]}")
+        code, out, err = run("opt", "--method", "paper", "--in", str(path), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert len(err) < 300
+        assert "(saw [1, 2, 3, 4, 5] (and 2995 more))" in err
+
 
 def _readme_examples() -> list[tuple[list[str], str]]:
     """README's `$ srpt-lab ...` examples: (argv, the output printed below)."""

@@ -427,3 +427,35 @@ class TestValidateOnce:
         again = pickle.loads(pickle.dumps(s))
         assert again == s
         assert validate_schedule(again) == ["job 1 received 1 of 2 units"]
+
+
+# Values whose repr fits in model._QUOTE_LIMIT characters.
+SHORT = st.one_of(
+    st.integers(), st.text(max_size=20), st.none(), st.booleans()
+).filter(lambda value: len(repr(value)) <= model._QUOTE_LIMIT)
+
+
+class TestQuote:
+    @given(st.one_of(SHORT, st.lists(SHORT, max_size=5)))
+    def test_short_values_and_lists_quote_as_their_repr(self, value):
+        assert model._quote(value) == repr(value)
+
+    def test_long_repr_is_cut_and_states_its_length(self):
+        quoted = model._quote("x" * 100_000)
+        assert quoted == repr("x" * 100_000)[: model._QUOTE_LIMIT] + "... (100002 characters)"
+
+    def test_long_list_names_five_entries_and_counts_the_rest(self):
+        assert model._quote(list(range(3000))) == "[0, 1, 2, 3, 4] (and 2995 more)"
+
+    def test_list_entries_are_quoted_too(self):
+        quoted = model._quote([1, "x" * 1000])
+        assert quoted.startswith("[1, 'xxx")
+        assert quoted.endswith("... (1002 characters)]")
+        assert len(quoted) < 100
+
+    def test_nested_lists_are_cut_as_entries(self):
+        # Five levels of five entries would repr as 3,125 numbers.
+        nested = 1
+        for _ in range(5):
+            nested = [nested] * 5
+        assert len(model._quote(nested)) < 500

@@ -173,6 +173,23 @@ class TestBruteForce:
         assert "machines <= 4" in msg
         assert "total work <= 30" in msg
 
+    @pytest.mark.parametrize("field", ["max_jobs", "max_machines", "max_total_work"])
+    @pytest.mark.parametrize(
+        "value, problem",
+        [
+            ("6", "must be an integer, got '6'"),
+            (None, "must be an integer, got None"),
+            (True, "must be an integer, got True"),
+            (2.5, "must be an integer, got 2.5"),
+            (0, "must be >= 1, got 0"),
+        ],
+        ids=["str", "none", "bool", "float", "zero"],
+    )
+    def test_ceiling_bounds_are_integers_of_at_least_one(self, field, value, problem):
+        with pytest.raises(ValueError) as err:
+            SearchCeiling(**{field: value})
+        assert str(err.value) == f"search ceiling {field} {problem}"
+
     def test_ceiling_is_configurable(self):
         big = _inst([5] * 7, machines=2)
         loose = SearchCeiling(max_jobs=10, max_machines=4, max_total_work=40)
